@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import ModelParams, forward
+from .encoder import ModelParams, batched_logits
 from .head import class_probabilities
 
 
@@ -54,34 +54,30 @@ def fit_sigma(class_probs) -> float:
     return float(np.std(mirrored))
 
 
-def fit_thresholds(
-    params: ModelParams, train_docs, alpha: float = 3.0, batch_size: int = 256
-) -> ThresholdVector:
+def fit_thresholds(params: ModelParams, train_docs, alpha: float = 3.0) -> ThresholdVector:
     """Fit one threshold per seen class from training-set probabilities.
 
     For class i, collect sigmoid(d_i) over every training example whose gold
     label is i (regardless of where the model ranks class i), fit sigma and
-    set t_i = max(0.5, 1 - alpha * sigma_i). Inference only; parameters are
+    set t_i = max(0.5, 1 - alpha * sigma_i). Probabilities that underflow to
+    0 count as the smallest positive float. Inference only; parameters are
     never modified.
     """
     if alpha <= 0:
         raise CalibrationError("alpha must be positive")
     m = params.config.num_classes
-    per_class: list[list[float]] = [[] for _ in range(m)]
     docs = list(train_docs)
-    for start in range(0, len(docs), batch_size):
-        batch = docs[start : start + batch_size]
-        ids = np.stack([d.ids for d in batch])
-        probs = class_probabilities(forward(params, ids).data)
-        for d, row in zip(batch, probs):
-            if not 0 <= d.seen_label < m:
-                raise CalibrationError("calibration data must carry seen-class labels")
-            per_class[d.seen_label].append(float(row[d.seen_label]))
+    labels = np.array([d.seen_label for d in docs], dtype=np.int64)
+    if ((labels < 0) | (labels >= m)).any():
+        raise CalibrationError("calibration data must carry seen-class labels")
+    probs = class_probabilities(batched_logits(params, docs))
+    own = np.maximum(probs[np.arange(len(docs)), labels], np.finfo(np.float64).tiny)
 
     sigma = np.zeros(m)
     for i in range(m):
-        if not per_class[i]:
+        mine = own[labels == i]
+        if not mine.size:
             raise CalibrationError(f"class index {i} has no training examples")
-        sigma[i] = fit_sigma(per_class[i])
+        sigma[i] = fit_sigma(mine)
     t = np.maximum(0.5, 1.0 - alpha * sigma)
     return ThresholdVector(t=t, alpha=alpha, sigma=sigma)

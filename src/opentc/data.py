@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-PAD_ID = 0
+from .tensor import PAD_ID
+
 UNK_ID = 1
 UNSEEN = -1  # seen_label marker for documents of held-out classes
 

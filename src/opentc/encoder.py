@@ -4,12 +4,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, fields
 from typing import IO, Iterable
 
 import numpy as np
 
 from .tensor import PAD_ID, Tape, Tensor, concat, conv1d_valid, dense, embed_lookup, max_over_time, relu
+
+INFERENCE_CHUNK = 256  # documents per forward call in batched_logits
 
 
 class EmbeddingFormatError(ValueError):
@@ -25,7 +28,6 @@ class EncoderConfig:
     filter_widths: tuple[int, ...] = (3, 4, 5)
     filters_per_width: int = 150
     hidden_dim: int = 250
-    relu_after_conv: bool = True  # pooling over raw conv outputs when False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
@@ -45,96 +47,79 @@ class EncoderConfig:
         return self.filters_per_width * len(self.filter_widths)
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "embed_dim": self.embed_dim,
-            "num_classes": self.num_classes,
-            "doc_len": self.doc_len,
-            "filter_widths": list(self.filter_widths),
-            "filters_per_width": self.filters_per_width,
-            "hidden_dim": self.hidden_dim,
-            "relu_after_conv": self.relu_after_conv,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(
-            vocab_size=d["vocab_size"],
-            embed_dim=d["embed_dim"],
-            num_classes=d["num_classes"],
-            doc_len=d["doc_len"],
-            filter_widths=tuple(d["filter_widths"]),
-            filters_per_width=d["filters_per_width"],
-            hidden_dim=d["hidden_dim"],
-            relu_after_conv=d["relu_after_conv"],
-        )
+        """Inverse of ``to_dict``; every field must be present and integral.
+
+        Older files also carry ``relu_after_conv``, which must be true: this
+        encoder always applies ReLU after the convolution.
+        """
+        if d.get("relu_after_conv", True) is not True:
+            raise ValueError("models without ReLU after the convolution are not supported")
+        values = {f.name: d[f.name] for f in fields(cls)}
+        dims = [v for k, v in values.items() if k != "filter_widths"]
+        if not all(type(v) is int for v in dims + list(values["filter_widths"])):
+            raise TypeError("encoder dimensions must be integers")
+        return cls(**values)
+
+
+def param_shapes(config: EncoderConfig) -> list[tuple[int, ...]]:
+    """Shape of every parameter tensor, in ``ModelParams.all_tensors()`` order."""
+    f, e = config.filters_per_width, config.embed_dim
+    conv = [shape for w in config.filter_widths for shape in ((f, w, e), (f,))]
+    r, m = config.hidden_dim, config.num_classes
+    return [(config.vocab_size, e), *conv, (r, config.pooled_dim), (r,), (m, r), (m,)]
 
 
 @dataclass
 class ModelParams:
     config: EncoderConfig
     embedding: Tensor
-    conv_filters: list[Tensor] = field(default_factory=list)  # ascending width order
-    conv_biases: list[Tensor] = field(default_factory=list)
-    w_hidden: Tensor = None
-    b_hidden: Tensor = None
-    w_out: Tensor = None
-    b_out: Tensor = None
+    conv_filters: list[Tensor]  # ascending width order
+    conv_biases: list[Tensor]
+    w_hidden: Tensor
+    b_hidden: Tensor
+    w_out: Tensor
+    b_out: Tensor
 
     def all_tensors(self) -> list[Tensor]:
-        out = [self.embedding]
-        for f, b in zip(self.conv_filters, self.conv_biases):
-            out += [f, b]
-        out += [self.w_hidden, self.b_hidden, self.w_out, self.b_out]
-        return out
+        """Every tensor in the one fixed order: embedding, (filter, bias) per
+        width, hidden weight and bias, output weight and bias."""
+        conv = [t for pair in zip(self.conv_filters, self.conv_biases) for t in pair]
+        return [self.embedding, *conv, self.w_hidden, self.b_hidden, self.w_out, self.b_out]
+
+    @classmethod
+    def from_tensors(cls, config: EncoderConfig, tensors: list[Tensor]) -> "ModelParams":
+        """Inverse of ``all_tensors``."""
+        embedding, *conv, w_hidden, b_hidden, w_out, b_out = tensors
+        return cls(config, embedding, conv[0::2], conv[1::2], w_hidden, b_hidden, w_out, b_out)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            embedding=self.embedding.copy(),
-            conv_filters=[t.copy() for t in self.conv_filters],
-            conv_biases=[t.copy() for t in self.conv_biases],
-            w_hidden=self.w_hidden.copy(),
-            b_hidden=self.b_hidden.copy(),
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-        )
+        return ModelParams.from_tensors(self.config, [t.copy() for t in self.all_tensors()])
 
 
 def init_params(config: EncoderConfig, seed: int) -> ModelParams:
     """Deterministic initialization.
 
-    Non-embedding weights are uniform in [-s, s] with s = sqrt(6/(fan_in+fan_out)),
+    Weights are uniform in [-s, s] with s = sqrt(6/(fan_in+fan_out)), where
+    fan_out is a weight's first dimension and fan_in the product of the rest;
     biases start at zero. Embedding rows are uniform in [-0.25, 0.25] with the
-    PAD row pinned to zero.
+    PAD row pinned to zero. Draws follow the ``all_tensors`` order.
     """
     rng = np.random.default_rng(seed)
-    emb = rng.uniform(-0.25, 0.25, size=(config.vocab_size, config.embed_dim))
+    emb_shape, *shapes = param_shapes(config)
+    emb = rng.uniform(-0.25, 0.25, size=emb_shape)
     emb[PAD_ID] = 0.0
-
-    filters, biases = [], []
-    for w in config.filter_widths:
-        fan_in = w * config.embed_dim
-        fan_out = config.filters_per_width
-        s = np.sqrt(6.0 / (fan_in + fan_out))
-        filters.append(
-            Tensor(rng.uniform(-s, s, size=(config.filters_per_width, w, config.embed_dim)))
-        )
-        biases.append(Tensor(np.zeros(config.filters_per_width)))
-
-    k, r, m = config.pooled_dim, config.hidden_dim, config.num_classes
-    s1 = np.sqrt(6.0 / (k + r))
-    s2 = np.sqrt(6.0 / (r + m))
-    return ModelParams(
-        config=config,
-        embedding=Tensor(emb),
-        conv_filters=filters,
-        conv_biases=biases,
-        w_hidden=Tensor(rng.uniform(-s1, s1, size=(r, k))),
-        b_hidden=Tensor(np.zeros(r)),
-        w_out=Tensor(rng.uniform(-s2, s2, size=(m, r))),
-        b_out=Tensor(np.zeros(m)),
-    )
+    tensors = [Tensor(emb)]
+    for shape in shapes:
+        if len(shape) == 1:
+            tensors.append(Tensor(np.zeros(shape)))
+        else:
+            s = np.sqrt(6.0 / (math.prod(shape[1:]) + shape[0]))
+            tensors.append(Tensor(rng.uniform(-s, s, size=shape)))
+    return ModelParams.from_tensors(config, tensors)
 
 
 def forward(params: ModelParams, doc, tape: Tape | None = None) -> Tensor:
@@ -151,15 +136,23 @@ def forward(params: ModelParams, doc, tape: Tape | None = None) -> Tensor:
         tape = Tape(record=False)
 
     x = embed_lookup(tape, ids, params.embedding)
-    pooled = []
-    for filt, bias in zip(params.conv_filters, params.conv_biases):
-        c = conv1d_valid(tape, x, filt, bias)
-        if cfg.relu_after_conv:
-            c = relu(tape, c)
-        pooled.append(max_over_time(tape, c))
+    pooled = [
+        max_over_time(tape, relu(tape, conv1d_valid(tape, x, filt, bias)))
+        for filt, bias in zip(params.conv_filters, params.conv_biases)
+    ]
     h = concat(tape, pooled)
     hidden = relu(tape, dense(tape, h, params.w_hidden, params.b_hidden))
     return dense(tape, hidden, params.w_out, params.b_out)
+
+
+def batched_logits(params: ModelParams, docs) -> np.ndarray:
+    """(N, m) logits of encoded documents, forwarded INFERENCE_CHUNK at a time."""
+    docs = list(docs)
+    out = np.empty((len(docs), params.config.num_classes))
+    for start in range(0, len(docs), INFERENCE_CHUNK):
+        chunk = docs[start : start + INFERENCE_CHUNK]
+        out[start : start + len(chunk)] = forward(params, np.stack([d.ids for d in chunk])).data
+    return out
 
 
 def load_pretrained_embeddings(params: ModelParams, source: Iterable[str] | IO[str], vocab) -> int:

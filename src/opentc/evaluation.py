@@ -17,7 +17,7 @@ from .data import (
     encode_open_split,
     make_open_split,
 )
-from .encoder import EncoderConfig, ModelParams, forward
+from .encoder import EncoderConfig, ModelParams, batched_logits
 from .head import class_probabilities, predict_closed, predict_open
 from .trainer import HEAD_ONE_VS_REST, HEAD_SOFTMAX, TrainConfig, train
 
@@ -37,11 +37,13 @@ class ConfusionMatrix:
     num_seen: int
 
     @classmethod
-    def empty(cls, num_seen: int) -> "ConfusionMatrix":
-        return cls(np.zeros((num_seen + 1, num_seen + 1), dtype=np.int64), num_seen)
-
-    def add(self, gold: int, predicted: int) -> None:
-        self.counts[gold, predicted] += 1
+    def from_pairs(cls, gold, predicted, num_seen: int) -> "ConfusionMatrix":
+        """Tally (gold, predicted) index pairs, each index in [0, num_seen]."""
+        n = num_seen + 1
+        pairs = np.array([gold, predicted], dtype=np.int64)
+        if ((pairs < 0) | (pairs >= n)).any():
+            raise ValueError(f"class index out of range [0, {n})")
+        return cls(np.bincount(pairs[0] * n + pairs[1], minlength=n * n).reshape(n, n), num_seen)
 
     @property
     def total(self) -> int:
@@ -76,40 +78,27 @@ def macro_f1(cm: ConfusionMatrix) -> float:
     return float(np.mean(scores))
 
 
-def evaluate(
-    params: ModelParams,
-    thresholds: ThresholdVector,
-    test_docs,
-    batch_size: int = 256,
-) -> ConfusionMatrix:
+def _gold(docs, m: int) -> list[int]:
+    """Gold indices with every unseen class collapsed into the reject index m."""
+    return [d.seen_label if d.seen_label >= 0 else m for d in docs]
+
+
+def evaluate(params: ModelParams, thresholds: ThresholdVector, test_docs) -> ConfusionMatrix:
     """Open-world predictions per test document, tallied into a confusion matrix."""
     m = params.config.num_classes
-    cm = ConfusionMatrix.empty(m)
     docs = list(test_docs)
-    for start in range(0, len(docs), batch_size):
-        chunk = docs[start : start + batch_size]
-        ids = np.stack([d.ids for d in chunk])
-        probs = class_probabilities(forward(params, ids).data)
-        for d, row in zip(chunk, probs):
-            pred = predict_open(row, thresholds)
-            gold = d.seen_label if d.seen_label >= 0 else m
-            cm.add(gold, m if pred.is_reject else pred.class_index)
-    return cm
+    probs = class_probabilities(batched_logits(params, docs))
+    preds = [predict_open(row, thresholds) for row in probs]
+    labels = [m if p.is_reject else p.class_index for p in preds]
+    return ConfusionMatrix.from_pairs(_gold(docs, m), labels, m)
 
 
-def evaluate_closed(params: ModelParams, test_docs, batch_size: int = 256) -> ConfusionMatrix:
+def evaluate_closed(params: ModelParams, test_docs) -> ConfusionMatrix:
     """Forced-accept baseline: always predicts the argmax class, never rejects."""
     m = params.config.num_classes
-    cm = ConfusionMatrix.empty(m)
     docs = list(test_docs)
-    for start in range(0, len(docs), batch_size):
-        chunk = docs[start : start + batch_size]
-        ids = np.stack([d.ids for d in chunk])
-        logits = forward(params, ids).data
-        for d, row in zip(chunk, logits):
-            gold = d.seen_label if d.seen_label >= 0 else m
-            cm.add(gold, predict_closed(row))
-    return cm
+    preds = [predict_closed(row) for row in batched_logits(params, docs)]
+    return ConfusionMatrix.from_pairs(_gold(docs, m), preds, m)
 
 
 @dataclass(frozen=True)

@@ -90,26 +90,20 @@ def class_probabilities(logits: np.ndarray) -> np.ndarray:
     return _stable_sigmoid(np.asarray(logits, dtype=np.float64))
 
 
-def predict_open(probs, thresholds, restrict_to_clearing: bool = False) -> OpenPrediction:
+def predict_open(probs, thresholds) -> OpenPrediction:
     """Reject iff every probability is below its class threshold.
 
     Otherwise the predicted class is the argmax over all classes (ties to the
     lowest index), even if that class sits below its own per-class threshold.
-    ``restrict_to_clearing=True`` switches to the variant that takes the
-    argmax over threshold-clearing classes only.
+    ``thresholds`` is a ``ThresholdVector`` or a plain vector of thresholds.
     """
     probs = np.asarray(probs, dtype=np.float64)
     thresholds = np.asarray(getattr(thresholds, "t", thresholds), dtype=np.float64)
     if probs.shape != thresholds.shape:
         raise ValueError("probs and thresholds must have the same length")
-    clearing = probs >= thresholds
-    if not clearing.any():
+    if not (probs >= thresholds).any():
         return REJECT
-    if restrict_to_clearing:
-        masked = np.where(clearing, probs, -np.inf)
-        idx = int(np.argmax(masked))
-    else:
-        idx = int(np.argmax(probs))
+    idx = int(np.argmax(probs))
     return OpenPrediction(class_index=idx, probability=float(probs[idx]))
 
 

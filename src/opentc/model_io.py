@@ -3,13 +3,19 @@
 Layout: magic "DOCM", u32 version, then length-prefixed sections (u64 little
 endian byte counts): header JSON (encoder config, head kind, class names,
 optional threshold block), vocabulary JSON (tokens in id order), and one raw
-float64 little-endian block per parameter tensor in a fixed order. Round trips
-are byte-identical.
+float64 little-endian block per parameter tensor in ``ModelParams.all_tensors``
+order. Round trips are byte-identical, and a save replaces the file atomically.
+
+Every version-1 file loads, including those whose config still carries
+``"relu_after_conv": true``; one with ``false`` describes an encoder this code
+no longer has and is refused. Any missing or mistyped header field, and any
+non-finite parameter, threshold or sigma, raises ``ModelFormatError``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -17,7 +23,7 @@ import numpy as np
 
 from .calibration import ThresholdVector
 from .data import Vocabulary
-from .encoder import EncoderConfig, ModelParams
+from .encoder import EncoderConfig, ModelParams, param_shapes
 from .tensor import Tensor
 
 MAGIC = b"DOCM"
@@ -57,10 +63,6 @@ def _read_section(fh) -> bytes:
     return payload
 
 
-def _tensors_in_order(params: ModelParams) -> list[Tensor]:
-    return params.all_tensors()
-
-
 def save_model(path, model: TrainedModel) -> None:
     header = {
         "config": model.config.to_dict(),
@@ -74,27 +76,37 @@ def save_model(path, model: TrainedModel) -> None:
             "t": model.thresholds.t.tolist(),
         },
     }
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        _write_section(fh, json.dumps(header, sort_keys=True).encode("utf-8"))
-        _write_section(fh, json.dumps(model.vocab.tokens).encode("utf-8"))
-        for t in _tensors_in_order(model.params):
-            _write_section(fh, np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            _write_section(fh, json.dumps(header, sort_keys=True).encode("utf-8"))
+            _write_section(fh, json.dumps(model.vocab.tokens).encode("utf-8"))
+            for t in model.params.all_tensors():
+                _write_section(fh, np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed before the rename
+            os.remove(tmp)
 
 
-def _expected_shapes(cfg: EncoderConfig) -> list[tuple[int, ...]]:
-    shapes = [(cfg.vocab_size, cfg.embed_dim)]
-    for w in cfg.filter_widths:
-        shapes.append((cfg.filters_per_width, w, cfg.embed_dim))
-        shapes.append((cfg.filters_per_width,))
-    shapes += [
-        (cfg.hidden_dim, cfg.pooled_dim),
-        (cfg.hidden_dim,),
-        (cfg.num_classes, cfg.hidden_dim),
-        (cfg.num_classes,),
-    ]
-    return shapes
+def _field(record, key: str, kind: type):
+    value = record.get(key) if isinstance(record, dict) else None
+    if not isinstance(value, kind):
+        raise ModelFormatError(f"model header field {key!r} is missing or not a {kind.__name__}")
+    return value
+
+
+def _finite_numbers(values, what: str, size: int) -> np.ndarray:
+    if not isinstance(values, list) or len(values) != size:
+        raise ModelFormatError(f"{what} must be a list of {size} numbers")
+    if not all(type(v) in (int, float) for v in values):
+        raise ModelFormatError(f"{what} must be numbers")
+    out = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise ModelFormatError(f"{what} must be finite")
+    return out
 
 
 def load_model(path) -> TrainedModel:
@@ -110,51 +122,50 @@ def load_model(path) -> TrainedModel:
         try:
             header = json.loads(_read_section(fh).decode("utf-8"))
             tokens = json.loads(_read_section(fh).decode("utf-8"))
-            cfg = EncoderConfig.from_dict(header["config"])
+            cfg = EncoderConfig.from_dict(_field(header, "config", dict))
         except (KeyError, ValueError, TypeError) as exc:
             raise ModelFormatError(f"corrupt model header: {exc}") from exc
 
-        arrays = []
-        for shape in _expected_shapes(cfg):
+        tensors = []
+        for shape in param_shapes(cfg):
             payload = _read_section(fh)
             expected = int(np.prod(shape)) * 8
             if len(payload) != expected:
                 raise ModelFormatError(
                     f"parameter block of {len(payload)} bytes, expected {expected}"
                 )
-            arrays.append(np.frombuffer(payload, dtype="<f8").reshape(shape).copy())
+            data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(data).all():
+                raise ModelFormatError("non-finite value in a parameter block")
+            tensors.append(Tensor(data))
         if fh.read(1):
             raise ModelFormatError("trailing bytes after model payload")
 
-    num_widths = len(cfg.filter_widths)
-    params = ModelParams(
-        config=cfg,
-        embedding=Tensor(arrays[0]),
-        conv_filters=[Tensor(arrays[1 + 2 * i]) for i in range(num_widths)],
-        conv_biases=[Tensor(arrays[2 + 2 * i]) for i in range(num_widths)],
-        w_hidden=Tensor(arrays[1 + 2 * num_widths]),
-        b_hidden=Tensor(arrays[2 + 2 * num_widths]),
-        w_out=Tensor(arrays[3 + 2 * num_widths]),
-        b_out=Tensor(arrays[4 + 2 * num_widths]),
-    )
-
-    class_names = list(header["class_names"])
+    head = _field(header, "head", str)
+    class_names = _field(header, "class_names", list)
+    if not all(isinstance(c, str) for c in class_names):
+        raise ModelFormatError("class names must be strings")
     if len(class_names) != cfg.num_classes:
         raise ModelFormatError("class name list does not match num_classes")
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ModelFormatError("vocabulary must be a list of strings")
 
+    if "thresholds" not in header:
+        raise ModelFormatError("model header field 'thresholds' is missing")
     thresholds = None
-    if header.get("thresholds") is not None:
-        tb = header["thresholds"]
-        t = np.asarray(tb["t"], dtype=np.float64)
-        sigma = np.asarray(tb["sigma"], dtype=np.float64)
-        if t.shape != (cfg.num_classes,) or sigma.shape != (cfg.num_classes,):
-            raise ModelFormatError("threshold vectors do not match num_classes")
-        thresholds = ThresholdVector(t=t, alpha=float(tb["alpha"]), sigma=sigma)
+    if header["thresholds"] is not None:
+        tb = _field(header, "thresholds", dict)
+        m = cfg.num_classes
+        thresholds = ThresholdVector(
+            t=_finite_numbers(tb.get("t"), "thresholds t", m),
+            alpha=float(_finite_numbers([tb.get("alpha")], "thresholds alpha", 1)[0]),
+            sigma=_finite_numbers(tb.get("sigma"), "thresholds sigma", m),
+        )
 
     return TrainedModel(
-        params=params,
+        params=ModelParams.from_tensors(cfg, tensors),
         vocab=Vocabulary(tokens),
         class_names=class_names,
-        head=header["head"],
+        head=head,
         thresholds=thresholds,
     )

@@ -3,7 +3,8 @@
 The objective is the summed one-vs-rest log loss (or the softmax baseline
 loss); each optimizer step divides by the batch size so the learning rate is
 independent of batch size. The optimizer is the standard adaptive-moment
-method (beta1=0.9, beta2=0.999, eps=1e-8).
+method (beta1=0.9, beta2=0.999, eps=1e-8: the ADAM_* module constants), and
+it updates every parameter tensor, the embedding included.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import OpenSplit
-from .encoder import EncoderConfig, ModelParams, forward, init_params
+from .encoder import EncoderConfig, ModelParams, batched_logits, forward, init_params
 from .head import ovr_loss, softmax_loss
 from .tensor import Tape, Tensor
 
 HEAD_ONE_VS_REST = "one_vs_rest"
 HEAD_SOFTMAX = "softmax"
 _LOSS_FNS = {HEAD_ONE_VS_REST: ovr_loss, HEAD_SOFTMAX: softmax_loss}
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -38,10 +42,6 @@ class TrainConfig:
     patience: int = 3
     seed: int = 0
     head: str = HEAD_ONE_VS_REST
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    freeze_embeddings: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
@@ -82,17 +82,17 @@ class AdamState:
     def apply(self, tensors: list[Tensor], cfg: TrainConfig) -> None:
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - cfg.beta1**t
-        bias2 = 1.0 - cfg.beta2**t
+        bias1 = 1.0 - ADAM_BETA1**t
+        bias2 = 1.0 - ADAM_BETA2**t
         for tensor, m, v in zip(tensors, self.m, self.v):
             g = tensor.grad
             if g is None:
                 continue
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            tensor.data -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            tensor.data -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 def _batch_arrays(docs) -> tuple[np.ndarray, np.ndarray]:
@@ -124,16 +124,12 @@ def training_step(
     return float(loss.data) / len(batch)
 
 
-def evaluate_loss(params: ModelParams, docs, head: str, batch_size: int = 256) -> float:
+def evaluate_loss(params: ModelParams, docs, head: str) -> float:
     """Mean per-example loss in inference mode."""
     docs = list(docs)
-    total = 0.0
-    for start in range(0, len(docs), batch_size):
-        chunk = docs[start : start + batch_size]
-        ids, labels = _batch_arrays(chunk)
-        tape = Tape(record=False)
-        total += float(_LOSS_FNS[head](tape, forward(params, ids, tape), labels).data)
-    return total / len(docs)
+    labels = np.array([d.seen_label for d in docs], dtype=np.int64)
+    logits = Tensor(batched_logits(params, docs))
+    return float(_LOSS_FNS[head](Tape(record=False), logits, labels).data) / len(docs)
 
 
 def train(
@@ -159,8 +155,6 @@ def train(
 
     params = init_params(enc_config, cfg.seed) if initial_params is None else initial_params.copy()
     trainable = params.all_tensors()
-    if cfg.freeze_embeddings:
-        trainable = [t for t in trainable if t is not params.embedding]
     opt = AdamState(trainable)
 
     report = TrainReport()

@@ -153,10 +153,11 @@ def test_fit_thresholds_does_not_modify_params():
         assert np.array_equal(b, t.data)
 
 
-def test_fit_thresholds_batch_size_invariant():
+def test_fit_thresholds_survives_sigmoid_underflow():
+    # sigmoid(-800) is exactly 0.0, outside fit_sigma's (0, 1]
     rng = np.random.default_rng(9)
     params = init_params(CFG, rng)
-    docs = _make_docs(CFG, [0, 1, 2] * 20, rng)
-    a = fit_thresholds(params, docs, batch_size=7)
-    b = fit_thresholds(params, docs, batch_size=256)
-    np.testing.assert_allclose(a.t, b.t, atol=1e-15)
+    params.b_out.data[:] = -800.0
+    tv = fit_thresholds(params, _make_docs(CFG, [0, 1, 2] * 4, rng))
+    np.testing.assert_array_equal(tv.t, np.full(3, 0.5))
+    assert np.isfinite(tv.sigma).all()

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from opentc.data import EncodedDocument
 from opentc.encoder import (
+    INFERENCE_CHUNK,
     EmbeddingFormatError,
     EncoderConfig,
     ModelParams,
+    batched_logits,
     forward,
     init_params,
     load_pretrained_embeddings,
@@ -36,9 +39,7 @@ def oracle_forward(params, ids, cfg):
             window = x[pos : pos + w]
             for j in range(f.shape[0]):
                 conv[pos, j] = np.sum(window * f[j]) + b[j]
-        if cfg.relu_after_conv:
-            conv = np.maximum(conv, 0.0)
-        pooled.append(conv.max(axis=0))
+        pooled.append(np.maximum(conv, 0.0).max(axis=0))
     p = np.concatenate(pooled)
     h = np.maximum(params.w_hidden.data @ p + params.b_hidden.data, 0.0)
     return params.w_out.data @ h + params.b_out.data
@@ -53,23 +54,6 @@ def test_forward_matches_straight_line_oracle():
         np.testing.assert_allclose(got, oracle_forward(params, ids, CFG), atol=1e-12)
 
 
-def test_forward_without_relu_after_conv():
-    cfg = EncoderConfig(
-        vocab_size=30,
-        embed_dim=4,
-        num_classes=3,
-        doc_len=12,
-        filter_widths=(2, 3),
-        filters_per_width=5,
-        hidden_dim=6,
-        relu_after_conv=False,
-    )
-    rng = np.random.default_rng(1)
-    params = init_params(cfg, rng)
-    ids = rng.integers(0, cfg.vocab_size, size=cfg.doc_len)
-    np.testing.assert_allclose(forward(params, ids).data, oracle_forward(params, ids, cfg), atol=1e-12)
-
-
 def test_forward_batched_matches_per_doc():
     rng = np.random.default_rng(2)
     params = init_params(CFG, rng)
@@ -78,6 +62,22 @@ def test_forward_batched_matches_per_doc():
     assert got.shape == (7, CFG.num_classes)
     for i in range(7):
         np.testing.assert_allclose(got[i], forward(params, batch[i]).data, atol=1e-12)
+
+
+def test_batched_logits_matches_single_document_forward():
+    # more than one chunk, and a last chunk that is only partly full
+    n = INFERENCE_CHUNK + 45
+    rng = np.random.default_rng(14)
+    params = init_params(CFG, rng)
+    docs = [
+        EncodedDocument(ids=rng.integers(0, CFG.vocab_size, size=CFG.doc_len), label="x", seen_label=0)
+        for _ in range(n)
+    ]
+    got = batched_logits(params, docs)
+    assert got.shape == (n, CFG.num_classes)
+    for d, row in zip(docs, got):
+        np.testing.assert_allclose(row, forward(params, d.ids).data, rtol=0, atol=1e-12)
+    assert batched_logits(params, []).shape == (0, CFG.num_classes)
 
 
 def test_output_shape_and_determinism():

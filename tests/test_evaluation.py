@@ -28,13 +28,6 @@ def oracle_macro_f1(gold, pred, classes):
     return sum(scores) / len(scores)
 
 
-def _cm_from_pairs(gold, pred, m):
-    cm = ConfusionMatrix.empty(m)
-    for g, p in zip(gold, pred):
-        cm.add(g, p)
-    return cm
-
-
 def test_macro_f1_matches_pairwise_oracle():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -44,7 +37,7 @@ def test_macro_f1_matches_pairwise_oracle():
         pred = rng.integers(0, m + 1, size=n).tolist()
         if not any(g == m for g in gold) and not any(p == m for p in pred):
             gold[0] = m  # keep the reject class active in this fuzz case
-        got = macro_f1(_cm_from_pairs(gold, pred, m))
+        got = macro_f1(ConfusionMatrix.from_pairs(gold, pred, m))
         want = oracle_macro_f1(gold, pred, list(range(m + 1)))
         assert abs(got - want) < 1e-12
 
@@ -56,7 +49,7 @@ def test_macro_f1_hand_worked_example():
     # class 0: tp=2 fp=1 fn=1 -> F1 2/3; class 1: tp=2 fp=1 fn=0 -> 0.8
     # reject: tp=4 fp=0 fn=1 -> 8/9; mean = (2/3 + 4/5 + 8/9)/3
     want = (2 / 3 + 4 / 5 + 8 / 9) / 3
-    got = macro_f1(_cm_from_pairs(gold, pred, 2))
+    got = macro_f1(ConfusionMatrix.from_pairs(gold, pred, 2))
     assert abs(got - want) < 1e-12
 
 
@@ -65,7 +58,7 @@ def test_macro_f1_simple_expected_value():
     pred = [0, 0, 1, 2, 2, 2]
     # class0 F1=1; class1: tp=1 fp=0 fn=1 -> 2/3; reject: tp=2 fp=1 fn=0 -> 0.8
     want = (1.0 + 2 / 3 + 0.8) / 3
-    assert abs(macro_f1(_cm_from_pairs(gold, pred, 2)) - want) < 1e-12
+    assert abs(macro_f1(ConfusionMatrix.from_pairs(gold, pred, 2)) - want) < 1e-12
     assert abs(want - 0.822222222222222) < 1e-12
 
 
@@ -73,7 +66,7 @@ def test_macro_f1_zero_over_zero_class_scores_zero():
     # class 1 never gold and never predicted -> F1 0, still averaged in
     gold = [0, 0, 2]
     pred = [0, 0, 2]
-    got = macro_f1(_cm_from_pairs(gold, pred, 2))
+    got = macro_f1(ConfusionMatrix.from_pairs(gold, pred, 2))
     assert abs(got - (1.0 + 0.0 + 1.0) / 3) < 1e-12
 
 
@@ -81,22 +74,30 @@ def test_macro_f1_excludes_reject_only_in_closed_world():
     # no gold rejects and no predicted rejects -> averaged over m classes only
     gold = [0, 1, 0, 1]
     pred = [0, 1, 1, 1]
-    got = macro_f1(_cm_from_pairs(gold, pred, 2))
+    got = macro_f1(ConfusionMatrix.from_pairs(gold, pred, 2))
     want = oracle_macro_f1(gold, pred, [0, 1])
     assert abs(got - want) < 1e-12
     # one predicted reject reactivates the class even without gold rejects
     gold = [0, 1, 0, 1]
     pred = [0, 1, 2, 1]
-    got = macro_f1(_cm_from_pairs(gold, pred, 2))
+    got = macro_f1(ConfusionMatrix.from_pairs(gold, pred, 2))
     want = oracle_macro_f1(gold, pred, [0, 1, 2])
     assert abs(got - want) < 1e-12
 
 
+def test_confusion_matrix_from_pairs_counts_each_pair():
+    cm = ConfusionMatrix.from_pairs([0, 0, 2, 1, 2], [0, 2, 2, 1, 2], 2)
+    np.testing.assert_array_equal(cm.counts, [[1, 0, 1], [0, 1, 0], [0, 0, 2]])
+    assert ConfusionMatrix.from_pairs([], [], 2).total == 0
+    with pytest.raises(ValueError):
+        ConfusionMatrix.from_pairs([0, 3], [0, 0], 2)
+
+
 def test_perfect_and_worst_scores():
     gold = [0, 1, 2, 2]
-    assert macro_f1(_cm_from_pairs(gold, gold, 2)) == 1.0
+    assert macro_f1(ConfusionMatrix.from_pairs(gold, gold, 2)) == 1.0
     pred = [1, 0, 0, 1]
-    assert macro_f1(_cm_from_pairs(gold, pred, 2)) == 0.0
+    assert macro_f1(ConfusionMatrix.from_pairs(gold, pred, 2)) == 0.0
 
 
 CFG = EncoderConfig(
@@ -128,15 +129,6 @@ def test_evaluate_closed_never_rejects():
     cm = evaluate_closed(params, docs)
     assert cm.counts[:, 2].sum() == 0
     assert cm.total == 4
-
-
-def test_evaluate_batch_size_invariant():
-    rng = np.random.default_rng(3)
-    params = init_params(CFG, rng)
-    docs = _docs(rng, [0, 1] * 15)
-    a = evaluate(params, fixed_thresholds(2), docs, batch_size=4)
-    b = evaluate(params, fixed_thresholds(2), docs, batch_size=256)
-    assert np.array_equal(a.counts, b.counts)
 
 
 def test_experiment_spec_validation():

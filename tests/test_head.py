@@ -55,11 +55,6 @@ def test_predict_open_argmax_over_all_classes():
     assert got.class_index == 0
 
 
-def test_predict_open_restrict_to_clearing_variant():
-    got = predict_open([0.8, 0.6], [0.95, 0.5], restrict_to_clearing=True)
-    assert got.class_index == 1
-
-
 def test_predict_open_tie_goes_to_lowest_index():
     got = predict_open([0.7, 0.7], [0.5, 0.5])
     assert got.class_index == 0

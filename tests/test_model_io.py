@@ -1,7 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from opentc import model_io
 from opentc.calibration import ThresholdVector
+from opentc.cli import main
 from opentc.data import Vocabulary
 from opentc.encoder import EncoderConfig, init_params
 from opentc.model_io import (
@@ -117,3 +122,97 @@ def test_loaded_model_predicts_identically(tmp_path):
     np.testing.assert_array_equal(
         forward(model.params, ids).data, forward(loaded.params, ids).data
     )
+
+
+def _header(path):
+    """Header JSON of a saved file, and the bytes that follow it."""
+    raw = path.read_bytes()
+    (size,) = struct.unpack("<Q", raw[8:16])
+    return json.loads(raw[16 : 16 + size]), raw[16 + size :]
+
+
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the header JSON of a saved file, keeping the rest."""
+    header, rest = _header(path)
+    edit(header)
+    payload = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(path.read_bytes()[:8] + struct.pack("<Q", len(payload)) + payload + rest)
+
+
+def test_older_header_with_relu_after_conv(tmp_path):
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    assert "relu_after_conv" not in _header(path)[0]["config"]
+    _rewrite_header(path, lambda h: h["config"].update(relu_after_conv=True))
+    assert load_model(path).config == CFG
+    _rewrite_header(path, lambda h: h["config"].update(relu_after_conv=False))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+    assert main(["inspect", "--model", str(path)]) == 2
+
+
+@pytest.mark.parametrize("key", ["config", "head", "class_names", "thresholds"])
+def test_missing_header_key_exits_2(tmp_path, key):
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    _rewrite_header(path, lambda h: h.pop(key))
+    assert main(["inspect", "--model", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.update(head=3),
+        lambda h: h.update(class_names="ab"),
+        lambda h: h.update(class_names=["alpha", 2]),
+        lambda h: h.update(config=[1, 2]),
+        lambda h: h["config"].update(vocab_size=12.0),
+        lambda h: h["config"].update(filter_widths=[2, "3"]),
+        lambda h: h["config"].pop("hidden_dim"),
+        lambda h: h.update(thresholds=[0.5, 0.5]),
+        lambda h: h["thresholds"].update(t=["0.5", "0.8"]),
+        lambda h: h["thresholds"].pop("sigma"),
+        lambda h: h["thresholds"].update(alpha=None),
+    ],
+)
+def test_mistyped_header_field_rejected(tmp_path, edit):
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    _rewrite_header(path, edit)
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("where", ["w_out", "t", "sigma"])
+def test_non_finite_values_rejected(tmp_path, where):
+    model = _model()
+    if where == "w_out":
+        model.params.w_out.data[0, 0] = np.nan
+    else:
+        vectors = {"t": model.thresholds.t.copy(), "sigma": model.thresholds.sigma.copy()}
+        vectors[where][1] = np.inf
+        model.thresholds = ThresholdVector(alpha=3.0, **vectors)
+    path = tmp_path / "m.docm"
+    save_model(path, model)
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_failed_save_leaves_old_file_untouched(tmp_path, monkeypatch):
+    path = tmp_path / "m.docm"
+    save_model(path, _model(seed=1))
+    before = path.read_bytes()
+    real_write = model_io._write_section
+    sections = []
+
+    def write_then_fail(fh, payload):
+        sections.append(payload)
+        if len(sections) == 3:  # header and vocabulary are already written
+            raise OSError("disk full")
+        real_write(fh, payload)
+
+    monkeypatch.setattr(model_io, "_write_section", write_then_fail)
+    with pytest.raises(OSError):
+        save_model(path, _model(seed=2))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.docm"]

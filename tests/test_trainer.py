@@ -4,6 +4,7 @@ import pytest
 from opentc.data import OpenSplit, EncodedDocument
 from opentc.encoder import EncoderConfig, init_params
 from opentc.trainer import (
+    ADAM_EPS,
     AdamState,
     TrainConfig,
     TrainingDivergedError,
@@ -164,18 +165,6 @@ def test_initial_params_used_and_not_mutated():
         assert np.array_equal(s, t.data)
 
 
-def test_freeze_embeddings():
-    rng = np.random.default_rng(12)
-    split = _split(rng)
-    init = init_params(CFG, 7)
-    emb_before = init.embedding.data.copy()
-    params, _ = train(
-        split, CFG, TrainConfig(max_epochs=2, seed=0, freeze_embeddings=True), initial_params=init
-    )
-    assert np.array_equal(params.embedding.data, emb_before)
-    assert not np.array_equal(params.w_out.data, init.w_out.data)
-
-
 def test_adam_single_step_matches_hand_computation():
     # one Adam step on a single scalar-ish parameter with known gradient
     t = Tensor(np.array([1.0]))
@@ -184,7 +173,7 @@ def test_adam_single_step_matches_hand_computation():
     t.grad = np.array([2.0])
     opt.apply([t], cfg)
     # bias-corrected m_hat = g, v_hat = g^2 -> step = lr * g / (|g| + eps)
-    expected = 1.0 - 0.1 * 2.0 / (2.0 + cfg.eps)
+    expected = 1.0 - 0.1 * 2.0 / (2.0 + ADAM_EPS)
     np.testing.assert_allclose(t.data, [expected], atol=1e-12)
 
 
