@@ -10,6 +10,7 @@ from opentc.calibration import (
     fit_thresholds,
     fixed_thresholds,
 )
+from opentc import encoder
 from opentc.data import EncodedDocument
 from opentc.encoder import EncoderConfig, init_params
 
@@ -151,6 +152,17 @@ def test_fit_thresholds_does_not_modify_params():
     fit_thresholds(params, _make_docs(CFG, [0, 1, 2] * 3, rng))
     for b, t in zip(before, params.all_tensors()):
         assert np.array_equal(b, t.data)
+
+
+def test_fit_thresholds_batch_size_invariant(monkeypatch):
+    rng = np.random.default_rng(9)
+    params = init_params(CFG, rng)
+    docs = _make_docs(CFG, [0, 1, 2] * 20, rng)
+    monkeypatch.setattr(encoder, "INFERENCE_CHUNK", 7)
+    a = fit_thresholds(params, docs)
+    monkeypatch.setattr(encoder, "INFERENCE_CHUNK", 256)
+    b = fit_thresholds(params, docs)
+    np.testing.assert_allclose(a.t, b.t, atol=1e-15)
 
 
 def test_fit_thresholds_survives_sigmoid_underflow():

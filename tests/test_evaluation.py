@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opentc import encoder
 from opentc.calibration import fixed_thresholds
 from opentc.data import EncodedDocument
 from opentc.encoder import EncoderConfig, init_params
@@ -129,6 +130,17 @@ def test_evaluate_closed_never_rejects():
     cm = evaluate_closed(params, docs)
     assert cm.counts[:, 2].sum() == 0
     assert cm.total == 4
+
+
+def test_evaluate_batch_size_invariant(monkeypatch):
+    rng = np.random.default_rng(3)
+    params = init_params(CFG, rng)
+    docs = _docs(rng, [0, 1] * 15)
+    monkeypatch.setattr(encoder, "INFERENCE_CHUNK", 4)
+    a = evaluate(params, fixed_thresholds(2), docs)
+    monkeypatch.setattr(encoder, "INFERENCE_CHUNK", 256)
+    b = evaluate(params, fixed_thresholds(2), docs)
+    assert np.array_equal(a.counts, b.counts)
 
 
 def test_experiment_spec_validation():
