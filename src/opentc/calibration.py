@@ -30,12 +30,11 @@ class ThresholdVector:
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64))
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=np.float64))
 
-    def __len__(self) -> int:
-        return self.t.size
-
 
 def fixed_thresholds(num_classes: int, value: float = 0.5) -> ThresholdVector:
     """Uniform thresholds, e.g. the default-0.5 ablation without fitting."""
+    if not 0.0 <= value <= 1.0:  # also false for NaN
+        raise CalibrationError(f"threshold must lie in [0, 1], got {value}")
     return ThresholdVector(
         t=np.full(num_classes, value),
         alpha=0.0,
@@ -63,8 +62,8 @@ def fit_thresholds(params: ModelParams, train_docs, alpha: float = 3.0) -> Thres
     0 count as the smallest positive float. Inference only; parameters are
     never modified.
     """
-    if alpha <= 0:
-        raise CalibrationError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:  # also false for NaN
+        raise CalibrationError(f"alpha must be positive and finite, got {alpha}")
     m = params.config.num_classes
     docs = list(train_docs)
     labels = np.array([d.seen_label for d in docs], dtype=np.int64)

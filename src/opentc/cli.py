@@ -10,23 +10,20 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .calibration import CalibrationError, ThresholdVector, fit_thresholds, fixed_thresholds
+from .calibration import CalibrationError, fit_thresholds, fixed_thresholds
 from .data import (
-    DatasetFormatError,
-    EncodedDocument,
     build_vocab_from_split,
     encode,
+    encode_documents,
     encode_open_split,
     load_jsonl,
     make_open_split,
     tokenize,
 )
-from .encoder import EmbeddingFormatError, EncoderConfig, forward, load_pretrained_embeddings
+from .encoder import EncoderConfig, forward, init_params, load_pretrained_embeddings
 from .evaluation import ExperimentSpec, run_experiment
 from .head import class_probabilities, predict_open
-from .model_io import ModelFormatError, TrainedModel, load_model, save_model
+from .model_io import TrainedModel, load_model, save_model
 from .trainer import HEAD_ONE_VS_REST, HEAD_SOFTMAX, TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
@@ -41,11 +38,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _comma_separated(kind: type):
+    """argparse ``type=`` callable: "3,4,5" -> (3, 4, 5) for ``kind=int``."""
+
+    def parse(text: str) -> tuple:
+        return tuple(kind(item) for item in text.split(","))
+
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse names it in errors
+    return parse
+
+
 def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embed-dim", type=int, default=50)
     p.add_argument("--doc-len", type=int, default=200)
     p.add_argument("--vocab-size", type=int, default=5000)
-    p.add_argument("--filter-widths", default="3,4,5", help="comma-separated widths")
+    p.add_argument(
+        "--filter-widths", type=_comma_separated(int), default="3,4,5", help="comma-separated widths"
+    )
     p.add_argument("--filters-per-width", type=int, default=150)
     p.add_argument("--hidden-dim", type=int, default=250)
 
@@ -55,10 +64,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--patience", type=int, default=3)
-
-
-def _parse_widths(text: str) -> tuple[int, ...]:
-    return tuple(int(w) for w in text.split(","))
 
 
 def _train_config(args, head: str) -> TrainConfig:
@@ -76,7 +81,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="opentc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[], help="train a model from a JSONL dataset")
+    p = sub.add_parser("train", help="train a model from a JSONL dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -98,11 +103,11 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", default="-", help="text file, one document per line; - for stdin")
     p.add_argument("--format", choices=["json", "tsv"], default="json")
-    p.add_argument("--t", type=float, help="override all thresholds with this value")
+    p.add_argument("--t", type=float, help="override all thresholds with this value in [0, 1]")
 
     p = sub.add_parser("experiment", help="seen-fraction sweep with repeated class choices")
     p.add_argument("--data", required=True)
-    p.add_argument("--fractions", default="0.25,0.5,0.75,1.0")
+    p.add_argument("--fractions", type=_comma_separated(float), default="0.25,0.5,0.75,1.0")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=3.0)
@@ -126,14 +131,12 @@ def cmd_train(args) -> int:
         embed_dim=args.embed_dim,
         num_classes=len(split.seen_classes),
         doc_len=args.doc_len,
-        filter_widths=_parse_widths(args.filter_widths),
+        filter_widths=args.filter_widths,
         filters_per_width=args.filters_per_width,
         hidden_dim=args.hidden_dim,
     )
     initial = None
     if args.pretrained:
-        from .encoder import init_params
-
         initial = init_params(cfg, args.seed)
         with open(args.pretrained, "r", encoding="utf-8") as fh:
             n = load_pretrained_embeddings(initial, fh, vocab)
@@ -167,14 +170,7 @@ def cmd_calibrate(args) -> int:
         raise CalibrationError(
             f"data contains classes unknown to the model: {sorted(labels - known)}"
         )
-    encoded = [
-        EncodedDocument(
-            ids=encode(tokenize(d.text), model.vocab, model.config.doc_len),
-            label=d.label,
-            seen_label=model.class_names.index(d.label),
-        )
-        for d in docs
-    ]
+    encoded = encode_documents(docs, model.vocab, model.config.doc_len, model.class_names)
     thresholds = fit_thresholds(model.params, encoded, args.alpha)
     model.thresholds = thresholds
     save_model(args.model, model)
@@ -228,14 +224,14 @@ def cmd_predict(args) -> int:
 def cmd_experiment(args) -> int:
     docs = load_jsonl(args.data)
     spec = ExperimentSpec(
-        seen_fractions=tuple(float(f) for f in args.fractions.split(",")),
+        seen_fractions=args.fractions,
         repetitions=args.reps,
         base_seed=args.seed,
         alpha=args.alpha,
         embed_dim=args.embed_dim,
         doc_len=args.doc_len,
         vocab_size=args.vocab_size,
-        filter_widths=_parse_widths(args.filter_widths),
+        filter_widths=args.filter_widths,
         filters_per_width=args.filters_per_width,
         hidden_dim=args.hidden_dim,
         train_config=_train_config(args, HEAD_ONE_VS_REST),
@@ -281,16 +277,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DatasetFormatError, ModelFormatError, EmbeddingFormatError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # every format error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

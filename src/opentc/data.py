@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,9 +59,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._tokens) + 2
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def id_for(self, token: str) -> int | None:
         """Id of a known token, or None if out of vocabulary."""
         return self._ids.get(token)
@@ -90,13 +87,28 @@ def encode(tokens: list[str], vocab: Vocabulary, doc_len: int) -> np.ndarray:
     return ids
 
 
+def encode_documents(
+    docs: list[Document], vocab: Vocabulary, doc_len: int, seen_classes: list[str]
+) -> list[EncodedDocument]:
+    """Encode labelled documents; a label's position in ``seen_classes`` is
+    its ``seen_label``, and a label missing from it gets UNSEEN."""
+    return [
+        EncodedDocument(
+            ids=encode(tokenize(d.text), vocab, doc_len),
+            label=d.label,
+            seen_label=seen_classes.index(d.label) if d.label in seen_classes else UNSEEN,
+        )
+        for d in docs
+    ]
+
+
 @dataclass
 class OpenSplit:
-    """Train/validation/test collections plus the seen-class index mapping.
+    """Train/validation/test collections plus the seen-class list.
 
     Document lists hold ``Document`` right after splitting and
     ``EncodedDocument`` after ``encode_open_split``. ``*_indices`` refer to
-    positions in the original dataset, for reproducibility manifests.
+    positions in the original dataset, so a split can be reproduced.
     """
 
     train: list
@@ -107,21 +119,6 @@ class OpenSplit:
     train_indices: list[int] = field(default_factory=list)
     validation_indices: list[int] = field(default_factory=list)
     test_indices: list[int] = field(default_factory=list)
-
-    def class_index(self, label: str) -> int:
-        try:
-            return self.seen_classes.index(label)
-        except ValueError:
-            return UNSEEN
-
-    def manifest(self) -> dict:
-        return {
-            "seen_classes": list(self.seen_classes),
-            "unseen_classes": list(self.unseen_classes),
-            "train_indices": list(self.train_indices),
-            "validation_indices": list(self.validation_indices),
-            "test_indices": list(self.test_indices),
-        }
 
 
 def make_open_split(docs: list[Document], seen_fraction: float, rep_seed) -> OpenSplit:
@@ -172,22 +169,11 @@ def make_open_split(docs: list[Document], seen_fraction: float, rep_seed) -> Ope
 def encode_open_split(split: OpenSplit, vocab: Vocabulary, doc_len: int) -> OpenSplit:
     """Encode every document of a raw split; vocabulary is left untouched."""
 
-    def enc(doc: Document) -> EncodedDocument:
-        return EncodedDocument(
-            ids=encode(tokenize(doc.text), vocab, doc_len),
-            label=doc.label,
-            seen_label=split.class_index(doc.label),
-        )
+    def enc(docs: list[Document]) -> list[EncodedDocument]:
+        return encode_documents(docs, vocab, doc_len, split.seen_classes)
 
-    return OpenSplit(
-        train=[enc(d) for d in split.train],
-        validation=[enc(d) for d in split.validation],
-        test=[enc(d) for d in split.test],
-        seen_classes=list(split.seen_classes),
-        unseen_classes=list(split.unseen_classes),
-        train_indices=list(split.train_indices),
-        validation_indices=list(split.validation_indices),
-        test_indices=list(split.test_indices),
+    return replace(
+        split, train=enc(split.train), validation=enc(split.validation), test=enc(split.test)
     )
 
 

@@ -5,7 +5,7 @@ class) and the seen-fraction sweep with repeated random class choices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -196,15 +196,11 @@ def run_single(
     enc_split = encode_open_split(raw, vocab, spec.doc_len)
     enc_cfg = spec.encoder_config(len(raw.seen_classes))
 
-    doc_cfg = TrainConfig(
-        **{**spec.train_config.__dict__, "seed": train_seed, "head": HEAD_ONE_VS_REST}
-    )
+    doc_cfg = replace(spec.train_config, seed=train_seed, head=HEAD_ONE_VS_REST)
     doc_params, _ = train(enc_split, enc_cfg, doc_cfg)
     thresholds = fit_thresholds(doc_params, enc_split.train, spec.alpha)
 
-    sm_cfg = TrainConfig(
-        **{**spec.train_config.__dict__, "seed": train_seed, "head": HEAD_SOFTMAX}
-    )
+    sm_cfg = replace(spec.train_config, seed=train_seed, head=HEAD_SOFTMAX)
     sm_params, _ = train(enc_split, enc_cfg, sm_cfg)
 
     return {

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tape, Tensor, _stable_sigmoid
+from .tensor import Tape, Tensor
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,16 @@ class OpenPrediction:
 
 
 REJECT = OpenPrediction(class_index=None, probability=None)
+
+
+def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function; exp never overflows, large |z| saturate to 0 or 1."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def _check_labels(labels: np.ndarray, m: int) -> None:

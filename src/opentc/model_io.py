@@ -9,7 +9,8 @@ order. Round trips are byte-identical, and a save replaces the file atomically.
 Every version-1 file loads, including those whose config still carries
 ``"relu_after_conv": true``; one with ``false`` describes an encoder this code
 no longer has and is refused. Any missing or mistyped header field, and any
-non-finite parameter, threshold or sigma, raises ``ModelFormatError``.
+non-finite parameter, threshold or sigma, raises ``ModelFormatError``; a save
+refuses the same non-finite values before it writes anything.
 """
 
 from __future__ import annotations
@@ -63,7 +64,20 @@ def _read_section(fh) -> bytes:
     return payload
 
 
+def _require_finite(values, what: str) -> np.ndarray:
+    out = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise ModelFormatError(f"{what} must be finite")
+    return out
+
+
 def save_model(path, model: TrainedModel) -> None:
+    """Write ``model`` atomically; non-finite values are refused before any write."""
+    for t in model.params.all_tensors():
+        _require_finite(t.data, "parameter blocks")
+    if model.thresholds is not None:
+        for name in ("t", "sigma", "alpha"):
+            _require_finite(getattr(model.thresholds, name), f"thresholds {name}")
     header = {
         "config": model.config.to_dict(),
         "head": model.head,
@@ -103,10 +117,7 @@ def _finite_numbers(values, what: str, size: int) -> np.ndarray:
         raise ModelFormatError(f"{what} must be a list of {size} numbers")
     if not all(type(v) in (int, float) for v in values):
         raise ModelFormatError(f"{what} must be numbers")
-    out = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(out).all():
-        raise ModelFormatError(f"{what} must be finite")
-    return out
+    return _require_finite(values, what)
 
 
 def load_model(path) -> TrainedModel:
@@ -135,9 +146,7 @@ def load_model(path) -> TrainedModel:
                     f"parameter block of {len(payload)} bytes, expected {expected}"
                 )
             data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-            if not np.isfinite(data).all():
-                raise ModelFormatError("non-finite value in a parameter block")
-            tensors.append(Tensor(data))
+            tensors.append(Tensor(_require_finite(data, "parameter blocks")))
         if fh.read(1):
             raise ModelFormatError("trailing bytes after model payload")
 

@@ -2,8 +2,8 @@
 
 Only the handful of operations the classifier architecture needs are
 implemented: embedding lookup, valid 1-D convolution, max-over-time
-pooling, dense layers, ReLU, sigmoid and concatenation. All ops accept an
-optional leading batch dimension. Gradients are recorded on an explicit
+pooling, dense layers, ReLU and concatenation. All ops accept an optional
+leading batch dimension. Gradients are recorded on an explicit
 ``Tape`` and replayed in exact reverse execution order.
 """
 
@@ -69,15 +69,6 @@ class Tape:
         loss.accumulate(np.ones(()))
         for fn in reversed(self._steps):
             fn()
-
-
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def embed_lookup(tape: Tape, ids, table: Tensor) -> Tensor:
@@ -189,20 +180,6 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
         if out.grad is None:
             return
         x.accumulate(out.grad * (x.data > 0))
-
-    tape.push(back)
-    return out
-
-
-def sigmoid(tape: Tape, x: Tensor) -> Tensor:
-    """Elementwise logistic function, stable for large |x|; output in (0, 1)."""
-    s = _stable_sigmoid(x.data)
-    out = Tensor(s)
-
-    def back() -> None:
-        if out.grad is None:
-            return
-        x.accumulate(out.grad * s * (1.0 - s))
 
     tape.push(back)
     return out

@@ -10,7 +10,7 @@ it updates every parameter tensor, the embedding included.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,31 +60,27 @@ class TrainReport:
     stopped_early: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "best_epoch": self.best_epoch,
-            "stopped_early": self.stopped_early,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
 class AdamState:
-    """First/second moment buffers for one parameter set."""
+    """The tensors it updates, with their first/second moment buffers."""
 
     def __init__(self, tensors: list[Tensor]) -> None:
+        self.tensors = tensors
         self.m = [np.zeros_like(t.data) for t in tensors]
         self.v = [np.zeros_like(t.data) for t in tensors]
         self.step_count = 0
 
-    def apply(self, tensors: list[Tensor], cfg: TrainConfig) -> None:
+    def apply(self, cfg: TrainConfig) -> None:
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - ADAM_BETA1**t
         bias2 = 1.0 - ADAM_BETA2**t
-        for tensor, m, v in zip(tensors, self.m, self.v):
+        for tensor, m, v in zip(self.tensors, self.m, self.v):
             g = tensor.grad
             if g is None:
                 continue
@@ -101,13 +97,7 @@ def _batch_arrays(docs) -> tuple[np.ndarray, np.ndarray]:
     return ids, labels
 
 
-def training_step(
-    params: ModelParams,
-    batch,
-    cfg: TrainConfig,
-    opt: AdamState,
-    trainable: list[Tensor],
-) -> float:
+def training_step(params: ModelParams, batch, cfg: TrainConfig, opt: AdamState) -> float:
     """One forward/backward/update cycle; returns pre-update loss / batch size."""
     if not batch:
         raise ValueError("empty batch")
@@ -120,7 +110,7 @@ def training_step(
     for p in params.all_tensors():
         p.zero_grad()
     tape.backward(loss)
-    opt.apply(trainable, cfg)
+    opt.apply(cfg)
     return float(loss.data) / len(batch)
 
 
@@ -154,8 +144,7 @@ def train(
         raise ValueError(f"seen classes absent from training split: {sorted(missing)}")
 
     params = init_params(enc_config, cfg.seed) if initial_params is None else initial_params.copy()
-    trainable = params.all_tensors()
-    opt = AdamState(trainable)
+    opt = AdamState(params.all_tensors())
 
     report = TrainReport()
     best: ModelParams | None = None
@@ -168,7 +157,7 @@ def train(
         epoch_total = 0.0
         for bi, start in enumerate(range(0, len(train_docs), cfg.batch_size)):
             batch = [train_docs[i] for i in perm[start : start + cfg.batch_size]]
-            loss = training_step(params, batch, cfg, opt, trainable)
+            loss = training_step(params, batch, cfg, opt)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, bi)
             epoch_total += loss * len(batch)

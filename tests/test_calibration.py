@@ -58,11 +58,18 @@ def test_fixed_thresholds():
     np.testing.assert_array_equal(tv.t, np.full(4, 0.5))
     tv = fixed_thresholds(2, value=0.9)
     np.testing.assert_array_equal(tv.t, [0.9, 0.9])
+    assert fixed_thresholds(3, 0.0).t[0] == 0.0 and fixed_thresholds(3, 1.0).t[0] == 1.0
+
+
+@pytest.mark.parametrize("value", [np.nan, -0.1, 1.5, np.inf])
+def test_fixed_thresholds_rejects_values_outside_unit_interval(value):
+    with pytest.raises(CalibrationError):
+        fixed_thresholds(3, value)
 
 
 def test_threshold_vector_len_and_dtype():
     tv = ThresholdVector(t=[0.5, 0.8], alpha=3.0, sigma=[0.2, 0.05])
-    assert len(tv) == 2
+    assert tv.t.size == 2
     assert tv.t.dtype == np.float64 and tv.sigma.dtype == np.float64
 
 
@@ -141,8 +148,9 @@ def test_fit_thresholds_rejects_bad_alpha():
     rng = np.random.default_rng(7)
     params = init_params(CFG, rng)
     docs = _make_docs(CFG, [0, 1, 2], rng)
-    with pytest.raises(CalibrationError):
-        fit_thresholds(params, docs, alpha=0.0)
+    for alpha in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(CalibrationError):
+            fit_thresholds(params, docs, alpha=alpha)
 
 
 def test_fit_thresholds_does_not_modify_params():

@@ -161,3 +161,69 @@ def test_pretrained_embeddings_flag(dataset, tmp_path, capsys):
 def test_unknown_subcommand_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.fixture(scope="module")
+def calibrated_model(dataset, tmp_path_factory):
+    return _train(dataset, tmp_path_factory.mktemp("model") / "m.docm", "--calibrate")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "{dir}", "--out", "{dir}/m.docm"],
+        ["calibrate", "--model", "{dir}", "--data", "{data}"],
+        ["calibrate", "--model", "{model}", "--data", "{dir}"],
+        ["predict", "--model", "{dir}", "--input", "{data}"],
+        ["predict", "--model", "{model}", "--input", "{dir}"],
+        ["experiment", "--data", "{dir}"],
+        ["inspect", "--model", "{dir}"],
+    ],
+    ids=[
+        "train-data",
+        "calibrate-model",
+        "calibrate-data",
+        "predict-model",
+        "predict-input",
+        "experiment-data",
+        "inspect-model",
+    ],
+)
+def test_directory_path_exit_code(argv, dataset, calibrated_model, tmp_path, capsys):
+    paths = {"dir": tmp_path, "data": dataset, "model": calibrated_model}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("t", ["nan", "1.5", "-0.1"])
+def test_predict_threshold_outside_unit_interval_exit_code(calibrated_model, tmp_path, capsys, t):
+    inp = tmp_path / "docs.txt"
+    inp.write_text("cls0kw00 cls0kw01\n")
+    assert main(["predict", "--model", calibrated_model, "--input", str(inp), "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_train_calibrate_with_nan_alpha_writes_no_model(dataset, tmp_path, capsys):
+    out = tmp_path / "m.docm"
+    argv = ["train", "--data", dataset, "--out", str(out), "--calibrate", "--alpha", "nan"]
+    assert main([*argv, *FAST_FLAGS]) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "d.jsonl", "--out", "m.docm", "--filter-widths", "3,x"],
+        ["experiment", "--data", "d.jsonl", "--filter-widths", "3,,4"],
+        ["experiment", "--data", "d.jsonl", "--fractions", "a"],
+        ["experiment", "--data", "d.jsonl", "--fractions", "0.5,"],
+    ],
+)
+def test_malformed_comma_separated_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 1
+    assert "invalid comma-separated" in capsys.readouterr().err

@@ -77,6 +77,23 @@ def test_class_probabilities_matches_sigmoid():
     np.testing.assert_allclose(class_probabilities(z), 1.0 / (1.0 + np.exp(-z)), atol=1e-15)
 
 
+def test_class_probabilities_half_at_zero():
+    assert class_probabilities(np.array([0.0]))[0] == 0.5
+
+
+def test_class_probabilities_extreme_inputs_stay_finite():
+    out = class_probabilities(np.array([-1000.0, 1000.0]))
+    assert np.isfinite(out).all()  # saturates to 0/1 instead of NaN/Inf
+    assert out[0] == 0.0 and out[1] == 1.0
+
+
+def test_class_probabilities_strictly_inside_unit_interval_for_moderate_inputs():
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-30, 30, size=1000)
+    out = class_probabilities(z)
+    assert (out > 0).all() and (out < 1).all()
+
+
 def oracle_ovr_loss(logits, labels, m):
     """Independent oracle: summed per-class BCE over the whole batch."""
     total = 0.0

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,17 +186,36 @@ def test_mistyped_header_field_rejected(tmp_path, edit):
 
 @pytest.mark.parametrize("where", ["w_out", "t", "sigma"])
 def test_non_finite_values_rejected(tmp_path, where):
+    path = tmp_path / "m.docm"
+    model = _model()
+    save_model(path, model)
+    if where == "w_out":  # its block comes right before b_out's, the last one
+        raw = bytearray(path.read_bytes())
+        start = len(raw) - model.params.b_out.data.nbytes - 8 - model.params.w_out.data.nbytes
+        assert struct.unpack("<d", raw[start : start + 8])[0] == model.params.w_out.data[0, 0]
+        raw[start : start + 8] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(raw))
+    else:
+        _rewrite_header(path, lambda h: h["thresholds"][where].__setitem__(1, np.inf))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("where", ["w_out", "t", "sigma", "alpha"])
+def test_save_refuses_non_finite_values(tmp_path, where):
+    path = tmp_path / "m.docm"
+    save_model(path, _model(seed=1))
+    before = path.read_bytes()
     model = _model()
     if where == "w_out":
         model.params.w_out.data[0, 0] = np.nan
     else:
-        vectors = {"t": model.thresholds.t.copy(), "sigma": model.thresholds.sigma.copy()}
-        vectors[where][1] = np.inf
-        model.thresholds = ThresholdVector(alpha=3.0, **vectors)
-    path = tmp_path / "m.docm"
-    save_model(path, model)
+        bad = {"alpha": np.inf} if where == "alpha" else {where: np.array([0.5, np.inf])}
+        model.thresholds = replace(model.thresholds, **bad)
     with pytest.raises(ModelFormatError):
-        load_model(path)
+        save_model(path, model)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.docm"]
 
 
 def test_failed_save_leaves_old_file_untouched(tmp_path, monkeypatch):

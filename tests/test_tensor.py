@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opentc.head import ovr_loss
 from opentc.tensor import (
     Tape,
     Tensor,
@@ -11,7 +12,6 @@ from opentc.tensor import (
     grad_check,
     max_over_time,
     relu,
-    sigmoid,
 )
 
 
@@ -159,24 +159,9 @@ def test_dense_gradient():
     assert grad_check(build, [x, w, b]) < 1e-6
 
 
-def test_relu_and_sigmoid_values():
+def test_relu_values():
     out = relu(Tape(record=False), Tensor([-1.0, 0.0, 2.0]))
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
-    out = sigmoid(Tape(record=False), Tensor([0.0]))
-    assert out.data[0] == 0.5
-
-
-def test_sigmoid_extreme_inputs_stay_finite():
-    out = sigmoid(Tape(record=False), Tensor([-1000.0, 1000.0]))
-    assert np.isfinite(out.data).all()  # saturates to 0/1 instead of NaN/Inf
-    assert out.data[0] == 0.0 and out.data[1] == 1.0
-
-
-def test_sigmoid_strictly_inside_unit_interval_for_moderate_inputs():
-    rng = np.random.default_rng(5)
-    z = rng.uniform(-30, 30, size=1000)
-    out = sigmoid(Tape(record=False), Tensor(z))
-    assert (out.data > 0).all() and (out.data < 1).all()
 
 
 def test_grad_check_linear_is_exact():
@@ -214,13 +199,13 @@ def test_randomized_composite_gradients(seed):
     bias = Tensor(rng.normal(size=F))
     wd = Tensor(rng.normal(size=(2, F)))
     bd = Tensor(rng.normal(size=2))
+    label = rng.integers(0, 2)
 
-    def build(tape):
+    def build(tape):  # ends in the one-vs-rest loss, so the sigmoid derivative is checked too
         x = embed_lookup(tape, ids, table)
         c = relu(tape, conv1d_valid(tape, x, filters, bias))
         p = max_over_time(tape, c)
-        s = sigmoid(tape, dense(tape, p, wd, bd))
-        return _sum(tape, s)
+        return ovr_loss(tape, dense(tape, p, wd, bd), label)
 
     assert grad_check(build, [table, filters, bias, wd, bd]) < 1e-4
 

@@ -133,7 +133,7 @@ def test_unseen_label_in_training_batch_rejected():
     cfg = TrainConfig()
     opt = AdamState(params.all_tensors())
     with pytest.raises(ValueError):
-        training_step(params, [bad], cfg, opt, params.all_tensors())
+        training_step(params, [bad], cfg, opt)
 
 
 def test_missing_class_in_train_split_rejected():
@@ -171,7 +171,7 @@ def test_adam_single_step_matches_hand_computation():
     cfg = TrainConfig(learning_rate=0.1)
     opt = AdamState([t])
     t.grad = np.array([2.0])
-    opt.apply([t], cfg)
+    opt.apply(cfg)
     # bias-corrected m_hat = g, v_hat = g^2 -> step = lr * g / (|g| + eps)
     expected = 1.0 - 0.1 * 2.0 / (2.0 + ADAM_EPS)
     np.testing.assert_allclose(t.data, [expected], atol=1e-12)
