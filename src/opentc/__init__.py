@@ -9,7 +9,7 @@ training probabilities by mirrored Gaussian estimation.
 from .calibration import ThresholdVector, fit_sigma, fit_thresholds, fixed_thresholds
 from .data import (
     Document,
-    EncodedDocument,
+    EncodedDocs,
     OpenSplit,
     Vocabulary,
     build_vocab_from_split,
@@ -38,7 +38,7 @@ from .trainer import TrainConfig, TrainReport, train
 __all__ = [
     "ConfusionMatrix",
     "Document",
-    "EncodedDocument",
+    "EncodedDocs",
     "EncoderConfig",
     "ExperimentSpec",
     "ModelParams",

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import EncodedDocs
 from .encoder import ModelParams, batched_logits
 from .head import class_probabilities
 
@@ -53,7 +54,13 @@ def fit_sigma(class_probs) -> float:
     return float(np.std(mirrored))
 
 
-def fit_thresholds(params: ModelParams, train_docs, alpha: float = 3.0) -> ThresholdVector:
+def check_alpha(alpha: float) -> None:
+    """Refuse an alpha that is not positive and finite."""
+    if not 0.0 < alpha < np.inf:  # also false for NaN
+        raise CalibrationError(f"alpha must be positive and finite, got {alpha}")
+
+
+def fit_thresholds(params: ModelParams, train_docs: EncodedDocs, alpha: float = 3.0) -> ThresholdVector:
     """Fit one threshold per seen class from training-set probabilities.
 
     For class i, collect sigmoid(d_i) over every training example whose gold
@@ -62,15 +69,13 @@ def fit_thresholds(params: ModelParams, train_docs, alpha: float = 3.0) -> Thres
     0 count as the smallest positive float. Inference only; parameters are
     never modified.
     """
-    if not 0.0 < alpha < np.inf:  # also false for NaN
-        raise CalibrationError(f"alpha must be positive and finite, got {alpha}")
+    check_alpha(alpha)
     m = params.config.num_classes
-    docs = list(train_docs)
-    labels = np.array([d.seen_label for d in docs], dtype=np.int64)
+    labels = train_docs.labels
     if ((labels < 0) | (labels >= m)).any():
         raise CalibrationError("calibration data must carry seen-class labels")
-    probs = class_probabilities(batched_logits(params, docs))
-    own = np.maximum(probs[np.arange(len(docs)), labels], np.finfo(np.float64).tiny)
+    probs = class_probabilities(batched_logits(params, train_docs.ids))
+    own = np.maximum(probs[np.arange(len(labels)), labels], np.finfo(np.float64).tiny)
 
     sigma = np.zeros(m)
     for i in range(m):

@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
-from .calibration import CalibrationError, fit_thresholds, fixed_thresholds
+from .calibration import CalibrationError, check_alpha, fit_thresholds, fixed_thresholds
 from .data import (
     build_vocab_from_split,
     encode,
@@ -77,6 +78,15 @@ def _train_config(args, head: str) -> TrainConfig:
     )
 
 
+def _check_output_paths(*paths) -> None:
+    """Refuse, before any training, an output path that is a directory or lies in a missing one."""
+    for path in map(Path, filter(None, paths)):
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"output directory does not exist: {path.parent}")
+        if path.is_dir():
+            raise IsADirectoryError(f"output path is a directory: {path}")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="opentc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -122,6 +132,10 @@ def build_parser() -> _Parser:
 
 
 def cmd_train(args) -> int:
+    _check_output_paths(args.out, args.report)
+    if args.calibrate:
+        check_alpha(args.alpha)
+    train_config = _train_config(args, args.head)
     docs = load_jsonl(args.data)
     split = make_open_split(docs, args.seen_fraction, args.seed)
     vocab = build_vocab_from_split(split, args.vocab_size)
@@ -141,7 +155,7 @@ def cmd_train(args) -> int:
         with open(args.pretrained, "r", encoding="utf-8") as fh:
             n = load_pretrained_embeddings(initial, fh, vocab)
         print(f"pretrained vectors loaded for {n} tokens", file=sys.stderr)
-    params, report = train(enc_split, cfg, _train_config(args, args.head), initial_params=initial)
+    params, report = train(enc_split, cfg, train_config, initial_params=initial)
 
     thresholds = None
     if args.calibrate:
@@ -222,6 +236,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _check_output_paths(args.report)
     docs = load_jsonl(args.data)
     spec = ExperimentSpec(
         seen_fractions=args.fractions,

@@ -8,14 +8,14 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .tensor import PAD_ID
 
 UNK_ID = 1
-UNSEEN = -1  # seen_label marker for documents of held-out classes
+UNSEEN = -1  # label of documents of held-out classes
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -70,10 +70,14 @@ class Vocabulary:
 
 
 @dataclass(frozen=True)
-class EncodedDocument:
-    ids: np.ndarray  # int64, length exactly doc_len
-    label: str
-    seen_label: int  # index in [0, m) or UNSEEN
+class EncodedDocs:
+    """Encoded documents: row i of ``ids`` and entry i of ``labels`` are one document."""
+
+    ids: np.ndarray  # (N, doc_len) int64
+    labels: np.ndarray  # (N,) int64, a seen-class index in [0, m) or UNSEEN
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 def encode(tokens: list[str], vocab: Vocabulary, doc_len: int) -> np.ndarray:
@@ -89,36 +93,30 @@ def encode(tokens: list[str], vocab: Vocabulary, doc_len: int) -> np.ndarray:
 
 def encode_documents(
     docs: list[Document], vocab: Vocabulary, doc_len: int, seen_classes: list[str]
-) -> list[EncodedDocument]:
+) -> EncodedDocs:
     """Encode labelled documents; a label's position in ``seen_classes`` is
-    its ``seen_label``, and a label missing from it gets UNSEEN."""
-    return [
-        EncodedDocument(
-            ids=encode(tokenize(d.text), vocab, doc_len),
-            label=d.label,
-            seen_label=seen_classes.index(d.label) if d.label in seen_classes else UNSEEN,
-        )
-        for d in docs
-    ]
+    its label index, and a label missing from it gets UNSEEN."""
+    ids = [encode(tokenize(d.text), vocab, doc_len) for d in docs]
+    labels = [seen_classes.index(d.label) if d.label in seen_classes else UNSEEN for d in docs]
+    return EncodedDocs(
+        ids=np.array(ids, dtype=np.int64).reshape(len(docs), doc_len),
+        labels=np.array(labels, dtype=np.int64),
+    )
 
 
 @dataclass
 class OpenSplit:
     """Train/validation/test collections plus the seen-class list.
 
-    Document lists hold ``Document`` right after splitting and
-    ``EncodedDocument`` after ``encode_open_split``. ``*_indices`` refer to
-    positions in the original dataset, so a split can be reproduced.
+    The collections are ``Document`` lists right after splitting and
+    ``EncodedDocs`` after ``encode_open_split``.
     """
 
-    train: list
-    validation: list
-    test: list
+    train: list[Document] | EncodedDocs
+    validation: list[Document] | EncodedDocs
+    test: list[Document] | EncodedDocs
     seen_classes: list[str]
     unseen_classes: list[str]
-    train_indices: list[int] = field(default_factory=list)
-    validation_indices: list[int] = field(default_factory=list)
-    test_indices: list[int] = field(default_factory=list)
 
 
 def make_open_split(docs: list[Document], seen_fraction: float, rep_seed) -> OpenSplit:
@@ -139,37 +137,28 @@ def make_open_split(docs: list[Document], seen_fraction: float, rep_seed) -> Ope
     seen = sorted(rng.choice(classes, size=n_seen, replace=False).tolist())
     unseen = [c for c in classes if c not in seen]
 
-    by_class: dict[str, list[int]] = {c: [] for c in classes}
-    for i, d in enumerate(docs):
-        by_class[d.label].append(i)
+    by_class: dict[str, list[Document]] = {c: [] for c in classes}
+    for d in docs:
+        by_class[d.label].append(d)
 
-    train_idx, val_idx, test_idx = [], [], []
+    train, validation, test = [], [], []
     for c in classes:
         order = [by_class[c][j] for j in rng.permutation(len(by_class[c]))]
         n = len(order)
         n_val = int(np.floor(0.1 * n))
         n_test = int(np.floor(0.3 * n))
-        test_idx.extend(order[n_val : n_val + n_test])
+        test.extend(order[n_val : n_val + n_test])
         if c in seen:
-            val_idx.extend(order[:n_val])
-            train_idx.extend(order[n_val + n_test :])
+            validation.extend(order[:n_val])
+            train.extend(order[n_val + n_test :])
 
-    return OpenSplit(
-        train=[docs[i] for i in train_idx],
-        validation=[docs[i] for i in val_idx],
-        test=[docs[i] for i in test_idx],
-        seen_classes=seen,
-        unseen_classes=unseen,
-        train_indices=train_idx,
-        validation_indices=val_idx,
-        test_indices=test_idx,
-    )
+    return OpenSplit(train, validation, test, seen_classes=seen, unseen_classes=unseen)
 
 
 def encode_open_split(split: OpenSplit, vocab: Vocabulary, doc_len: int) -> OpenSplit:
     """Encode every document of a raw split; vocabulary is left untouched."""
 
-    def enc(docs: list[Document]) -> list[EncodedDocument]:
+    def enc(docs: list[Document]) -> EncodedDocs:
         return encode_documents(docs, vocab, doc_len, split.seen_classes)
 
     return replace(

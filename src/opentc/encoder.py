@@ -145,13 +145,12 @@ def forward(params: ModelParams, doc, tape: Tape | None = None) -> Tensor:
     return dense(tape, hidden, params.w_out, params.b_out)
 
 
-def batched_logits(params: ModelParams, docs) -> np.ndarray:
-    """(N, m) logits of encoded documents, forwarded INFERENCE_CHUNK at a time."""
-    docs = list(docs)
-    out = np.empty((len(docs), params.config.num_classes))
-    for start in range(0, len(docs), INFERENCE_CHUNK):
-        chunk = docs[start : start + INFERENCE_CHUNK]
-        out[start : start + len(chunk)] = forward(params, np.stack([d.ids for d in chunk])).data
+def batched_logits(params: ModelParams, ids: np.ndarray) -> np.ndarray:
+    """(N, m) logits of an (N, L) id matrix, forwarded INFERENCE_CHUNK rows at a time."""
+    out = np.empty((len(ids), params.config.num_classes))
+    for start in range(0, len(ids), INFERENCE_CHUNK):
+        rows = slice(start, start + INFERENCE_CHUNK)
+        out[rows] = forward(params, ids[rows]).data
     return out
 
 
@@ -159,7 +158,8 @@ def load_pretrained_embeddings(params: ModelParams, source: Iterable[str] | IO[s
     """Overwrite embedding rows from a word-vector text stream.
 
     Each line is ``token v1 ... ve``. Rows for tokens present in ``vocab``
-    are replaced; the PAD row stays zero. Returns the number of rows replaced.
+    are replaced, and their values must be finite; the PAD row stays zero.
+    Returns the number of rows replaced.
     """
     e = params.config.embed_dim
     replaced = 0
@@ -180,6 +180,8 @@ def load_pretrained_embeddings(params: ModelParams, source: Iterable[str] | IO[s
             vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
         except ValueError as exc:
             raise EmbeddingFormatError(f"line {lineno}: non-numeric value") from exc
+        if not np.isfinite(vec).all():
+            raise EmbeddingFormatError(f"line {lineno}: non-finite value")
         params.embedding.data[token_id] = vec
         replaced += 1
     return replaced

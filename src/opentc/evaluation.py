@@ -9,14 +9,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calibration import ThresholdVector, fit_thresholds, fixed_thresholds
-from .data import (
-    Document,
-    OpenSplit,
-    build_vocab_from_split,
-    encode_open_split,
-    make_open_split,
-)
+from .calibration import ThresholdVector, check_alpha, fit_thresholds, fixed_thresholds
+from .data import Document, EncodedDocs, build_vocab_from_split, encode_open_split, make_open_split
 from .encoder import EncoderConfig, ModelParams, batched_logits
 from .head import class_probabilities, predict_closed, predict_open
 from .trainer import HEAD_ONE_VS_REST, HEAD_SOFTMAX, TrainConfig, train
@@ -78,27 +72,27 @@ def macro_f1(cm: ConfusionMatrix) -> float:
     return float(np.mean(scores))
 
 
-def _gold(docs, m: int) -> list[int]:
+def _gold(docs: EncodedDocs, m: int) -> np.ndarray:
     """Gold indices with every unseen class collapsed into the reject index m."""
-    return [d.seen_label if d.seen_label >= 0 else m for d in docs]
+    return np.where(docs.labels >= 0, docs.labels, m)
 
 
-def evaluate(params: ModelParams, thresholds: ThresholdVector, test_docs) -> ConfusionMatrix:
+def evaluate(
+    params: ModelParams, thresholds: ThresholdVector, test_docs: EncodedDocs
+) -> ConfusionMatrix:
     """Open-world predictions per test document, tallied into a confusion matrix."""
     m = params.config.num_classes
-    docs = list(test_docs)
-    probs = class_probabilities(batched_logits(params, docs))
+    probs = class_probabilities(batched_logits(params, test_docs.ids))
     preds = [predict_open(row, thresholds) for row in probs]
     labels = [m if p.is_reject else p.class_index for p in preds]
-    return ConfusionMatrix.from_pairs(_gold(docs, m), labels, m)
+    return ConfusionMatrix.from_pairs(_gold(test_docs, m), labels, m)
 
 
-def evaluate_closed(params: ModelParams, test_docs) -> ConfusionMatrix:
+def evaluate_closed(params: ModelParams, test_docs: EncodedDocs) -> ConfusionMatrix:
     """Forced-accept baseline: always predicts the argmax class, never rejects."""
     m = params.config.num_classes
-    docs = list(test_docs)
-    preds = [predict_closed(row) for row in batched_logits(params, docs)]
-    return ConfusionMatrix.from_pairs(_gold(docs, m), preds, m)
+    preds = [predict_closed(row) for row in batched_logits(params, test_docs.ids)]
+    return ConfusionMatrix.from_pairs(_gold(test_docs, m), preds, m)
 
 
 @dataclass(frozen=True)
@@ -122,6 +116,9 @@ class ExperimentSpec:
             raise ValueError("repetitions must be >= 1")
         if any(not 0 < f <= 1 for f in self.seen_fractions):
             raise ValueError("seen fractions must lie in (0, 1]")
+        if len(set(self.seen_fractions)) != len(self.seen_fractions):
+            raise ValueError(f"seen fractions must be distinct, got {list(self.seen_fractions)}")
+        check_alpha(self.alpha)
 
     def encoder_config(self, num_classes: int) -> EncoderConfig:
         return EncoderConfig(

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import OpenSplit
+from .data import EncodedDocs, OpenSplit
 from .encoder import EncoderConfig, ModelParams, batched_logits, forward, init_params
 from .head import ovr_loss, softmax_loss
 from .tensor import Tape, Tensor
@@ -46,8 +46,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
             raise ValueError("batch_size, patience and max_epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        if not 0 <= self.learning_rate < np.inf:  # also false for NaN
+            raise ValueError(f"learning_rate must be non-negative and finite, got {self.learning_rate}")
         if self.head not in _LOSS_FNS:
             raise ValueError(f"unknown head {self.head!r}")
 
@@ -91,22 +91,15 @@ class AdamState:
             tensor.data -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
-def _batch_arrays(docs) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.stack([d.ids for d in docs])
-    labels = np.array([d.seen_label for d in docs], dtype=np.int64)
-    return ids, labels
-
-
-def training_step(params: ModelParams, batch, cfg: TrainConfig, opt: AdamState) -> float:
+def training_step(params: ModelParams, batch: EncodedDocs, cfg: TrainConfig, opt: AdamState) -> float:
     """One forward/backward/update cycle; returns pre-update loss / batch size."""
     if not batch:
         raise ValueError("empty batch")
-    ids, labels = _batch_arrays(batch)
-    if (labels < 0).any():
+    if (batch.labels < 0).any():
         raise ValueError("unseen-class document in a training batch")
     tape = Tape()
-    logits = forward(params, ids, tape)
-    loss = _LOSS_FNS[cfg.head](tape, logits, labels)
+    logits = forward(params, batch.ids, tape)
+    loss = _LOSS_FNS[cfg.head](tape, logits, batch.labels)
     for p in params.all_tensors():
         p.zero_grad()
     tape.backward(loss)
@@ -114,12 +107,10 @@ def training_step(params: ModelParams, batch, cfg: TrainConfig, opt: AdamState) 
     return float(loss.data) / len(batch)
 
 
-def evaluate_loss(params: ModelParams, docs, head: str) -> float:
+def evaluate_loss(params: ModelParams, docs: EncodedDocs, head: str) -> float:
     """Mean per-example loss in inference mode."""
-    docs = list(docs)
-    labels = np.array([d.seen_label for d in docs], dtype=np.int64)
-    logits = Tensor(batched_logits(params, docs))
-    return float(_LOSS_FNS[head](Tape(record=False), logits, labels).data) / len(docs)
+    logits = Tensor(batched_logits(params, docs.ids))
+    return float(_LOSS_FNS[head](Tape(record=False), logits, docs.labels).data) / len(docs)
 
 
 def train(
@@ -135,11 +126,10 @@ def train(
     ``patience`` epochs without validation improvement. When the validation
     split is empty the training loss drives model selection instead.
     """
-    train_docs = list(split.train)
+    train_docs = split.train
     if not train_docs:
         raise ValueError("empty training split")
-    present = {d.seen_label for d in train_docs}
-    missing = set(range(enc_config.num_classes)) - present
+    missing = set(range(enc_config.num_classes)) - set(train_docs.labels.tolist())
     if missing:
         raise ValueError(f"seen classes absent from training split: {sorted(missing)}")
 
@@ -156,7 +146,8 @@ def train(
         perm = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_docs))
         epoch_total = 0.0
         for bi, start in enumerate(range(0, len(train_docs), cfg.batch_size)):
-            batch = [train_docs[i] for i in perm[start : start + cfg.batch_size]]
+            rows = perm[start : start + cfg.batch_size]
+            batch = EncodedDocs(train_docs.ids[rows], train_docs.labels[rows])
             loss = training_step(params, batch, cfg, opt)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, bi)

@@ -112,12 +112,13 @@ def test_criterion_2_calibration_oracle(capsys):
         vocab_size=30, embed_dim=4, num_classes=3, doc_len=10, filter_widths=(2,), filters_per_width=3, hidden_dim=4
     )
     params = init_params(cfg, 0)
-    from opentc.data import EncodedDocument
+    from opentc.data import EncodedDocs
 
-    docs = [
-        EncodedDocument(ids=rng.integers(0, 30, size=10), label=str(l), seen_label=l)
-        for l in [0, 1, 2] * 5
-    ]
+    labels = [0, 1, 2] * 5
+    docs = EncodedDocs(
+        ids=np.stack([rng.integers(0, 30, size=10) for _ in labels]),
+        labels=np.array(labels, dtype=np.int64),
+    )
     exact = True
     for alpha in (0.5, 3.0, 50.0):
         tv = fit_thresholds(params, docs, alpha)

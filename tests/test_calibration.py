@@ -11,7 +11,7 @@ from opentc.calibration import (
     fixed_thresholds,
 )
 from opentc import encoder
-from opentc.data import EncodedDocument
+from opentc.data import EncodedDocs
 from opentc.encoder import EncoderConfig, init_params
 
 
@@ -74,14 +74,8 @@ def test_threshold_vector_len_and_dtype():
 
 
 def _make_docs(cfg, labels, rng):
-    return [
-        EncodedDocument(
-            ids=rng.integers(0, cfg.vocab_size, size=cfg.doc_len),
-            seen_label=lab,
-            label=str(lab),
-        )
-        for lab in labels
-    ]
+    ids = np.stack([rng.integers(0, cfg.vocab_size, size=cfg.doc_len) for _ in labels])
+    return EncodedDocs(ids=ids, labels=np.array(labels, dtype=np.int64))
 
 
 CFG = EncoderConfig(
@@ -98,9 +92,9 @@ def test_fit_thresholds_matches_manual_computation():
     from opentc.head import class_probabilities
 
     per_class = [[], [], []]
-    for d in docs:
-        p = class_probabilities(forward(params, d.ids).data)
-        per_class[d.seen_label].append(float(p[d.seen_label]))
+    for ids, label in zip(docs.ids, docs.labels):
+        p = class_probabilities(forward(params, ids).data)
+        per_class[label].append(float(p[label]))
 
     tv = fit_thresholds(params, docs, alpha=3.0)
     for i in range(3):
@@ -139,7 +133,7 @@ def test_fit_thresholds_rejects_unseen_labels():
     rng = np.random.default_rng(6)
     params = init_params(CFG, rng)
     docs = _make_docs(CFG, [0, 1, 2], rng)
-    docs[0] = EncodedDocument(ids=docs[0].ids, seen_label=-1, label="?")
+    docs = EncodedDocs(ids=docs.ids, labels=np.array([-1, 1, 2]))
     with pytest.raises(CalibrationError):
         fit_thresholds(params, docs)
 

@@ -205,12 +205,68 @@ def test_predict_threshold_outside_unit_interval_exit_code(calibrated_model, tmp
     assert captured.out == "" and "error:" in captured.err
 
 
-def test_train_calibrate_with_nan_alpha_writes_no_model(dataset, tmp_path, capsys):
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if training starts: bad input must be refused before it."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("opentc.cli.train", fail)
+    monkeypatch.setattr("opentc.evaluation.train", fail)
+
+
+def test_train_calibrate_with_nan_alpha_writes_no_model(dataset, tmp_path, capsys, no_training):
     out = tmp_path / "m.docm"
     argv = ["train", "--data", dataset, "--out", str(out), "--calibrate", "--alpha", "nan"]
     assert main([*argv, *FAST_FLAGS]) == 2
     assert "alpha" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--out", "{tmp}/missing/m.docm"],
+        ["train", "--out", "{tmp}"],
+        ["train", "--out", "{tmp}/m.docm", "--report", "{tmp}/missing/report.json"],
+        ["train", "--out", "{tmp}/m.docm", "--lr", "nan"],
+        ["train", "--out", "{tmp}/m.docm", "--lr", "inf"],
+        ["experiment", "--alpha", "nan"],
+        ["experiment", "--report", "{tmp}/missing/report.json"],
+        ["experiment", "--report", "{tmp}"],
+        ["experiment", "--fractions", "0.5,0.5"],
+        ["experiment", "--lr", "inf"],
+    ],
+    ids=[
+        "train-out-dir-missing",
+        "train-out-is-dir",
+        "train-report-dir-missing",
+        "train-lr-nan",
+        "train-lr-inf",
+        "experiment-alpha-nan",
+        "experiment-report-dir-missing",
+        "experiment-report-is-dir",
+        "experiment-duplicate-fractions",
+        "experiment-lr-inf",
+    ],
+)
+def test_bad_input_exits_2_before_training(argv, dataset, tmp_path, capsys, no_training):
+    command, *flags = argv
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
+    assert main([command, "--data", dataset, *flags, *FAST_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_pretrained_vector_exit_code(dataset, tmp_path, capsys, no_training):
+    vecs = tmp_path / "vecs.txt"
+    vecs.write_text("cls0kw00 nan " + " ".join(["0.1"] * 7) + "\n")
+    argv = ["train", "--data", dataset, "--out", str(tmp_path / "m.docm"), "--pretrained", str(vecs)]
+    assert main([*argv, *FAST_FLAGS]) == 2
+    assert "line 1: non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "m.docm").exists()
 
 
 @pytest.mark.parametrize(

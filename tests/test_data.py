@@ -76,8 +76,9 @@ def test_split_sizes_60_10_30():
 def test_split_disjoint_and_complete_for_seen_classes():
     docs = _toy_docs(4, 20)
     split = make_open_split(docs, seen_fraction=1.0, rep_seed=1)
-    all_idx = split.train_indices + split.validation_indices + split.test_indices
-    assert len(all_idx) == len(set(all_idx)) == len(docs)
+    # the toy texts are distinct, so each Document stands for one dataset position
+    parts = split.train + split.validation + split.test
+    assert len(parts) == len(set(parts)) == len(docs)
 
 
 def test_unseen_classes_only_in_test():
@@ -106,9 +107,9 @@ def _split_lists(split):
     return (
         split.seen_classes,
         split.unseen_classes,
-        split.train_indices,
-        split.validation_indices,
-        split.test_indices,
+        split.train,
+        split.validation,
+        split.test,
     )
 
 
@@ -137,14 +138,16 @@ def test_encode_open_split_labels():
     vocab = build_vocab_from_split(split, max_size=100)
     enc = encode_open_split(split, vocab, doc_len=6)
     seen = set(split.seen_classes)
-    for d in enc.train + enc.validation:
-        assert d.seen_label == split.seen_classes.index(d.label)
-    for d in enc.test:
+    for raw, docs in [(split.train, enc.train), (split.validation, enc.validation)]:
+        assert len(docs) == len(raw)
+        for d, label in zip(raw, docs.labels):
+            assert label == split.seen_classes.index(d.label)
+    for d, label in zip(split.test, enc.test.labels):
         if d.label in seen:
-            assert d.seen_label == split.seen_classes.index(d.label)
+            assert label == split.seen_classes.index(d.label)
         else:
-            assert d.seen_label == UNSEEN
-        assert d.ids.shape == (6,)
+            assert label == UNSEEN
+    assert enc.test.ids.shape == (len(split.test), 6)
 
 
 def test_vocab_built_from_train_only():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opentc.data import EncodedDocument
+from opentc.data import Vocabulary, encode_documents
 from opentc.encoder import (
     INFERENCE_CHUNK,
     EmbeddingFormatError,
@@ -69,15 +69,19 @@ def test_batched_logits_matches_single_document_forward():
     n = INFERENCE_CHUNK + 45
     rng = np.random.default_rng(14)
     params = init_params(CFG, rng)
-    docs = [
-        EncodedDocument(ids=rng.integers(0, CFG.vocab_size, size=CFG.doc_len), label="x", seen_label=0)
-        for _ in range(n)
-    ]
-    got = batched_logits(params, docs)
+    ids = np.stack([rng.integers(0, CFG.vocab_size, size=CFG.doc_len) for _ in range(n)])
+    got = batched_logits(params, ids)
     assert got.shape == (n, CFG.num_classes)
-    for d, row in zip(docs, got):
-        np.testing.assert_allclose(row, forward(params, d.ids).data, rtol=0, atol=1e-12)
-    assert batched_logits(params, []).shape == (0, CFG.num_classes)
+    for doc, row in zip(ids, got):
+        np.testing.assert_allclose(row, forward(params, doc).data, rtol=0, atol=1e-12)
+
+
+def test_empty_encoded_docs_keep_their_shapes():
+    docs = encode_documents([], Vocabulary([]), CFG.doc_len, ["a", "b"])
+    assert docs.ids.shape == (0, CFG.doc_len) and docs.labels.shape == (0,)
+    assert docs.ids.dtype == docs.labels.dtype == np.int64
+    assert not docs
+    assert batched_logits(init_params(CFG, 0), docs.ids).shape == (0, CFG.num_classes)
 
 
 def test_output_shape_and_determinism():
@@ -157,8 +161,6 @@ def test_config_round_trip():
 
 
 def test_load_pretrained_embeddings():
-    from opentc.data import Vocabulary
-
     vocab = Vocabulary(["apple", "banana"])  # ids 2 and 3
     lines = ["apple 1.0 2.0 3.0 4.0", "cherry 9 9 9 9"]
     params = init_params(CFG, np.random.default_rng(10))
@@ -171,11 +173,19 @@ def test_load_pretrained_embeddings():
 
 
 def test_load_pretrained_dimension_mismatch():
-    from opentc.data import Vocabulary
-
     params = init_params(CFG, np.random.default_rng(11))
     with pytest.raises(EmbeddingFormatError):
         load_pretrained_embeddings(params, ["apple 1.0 2.0"], Vocabulary(["apple"]))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_pretrained_rejects_non_finite_values(value):
+    params = init_params(CFG, np.random.default_rng(11))
+    before = params.embedding.data.copy()
+    lines = ["apple 1.0 2.0 3.0 4.0", f"banana {value} 0.1 0.2 0.3"]
+    with pytest.raises(EmbeddingFormatError, match="line 2"):
+        load_pretrained_embeddings(params, lines, Vocabulary(["apple", "banana"]))
+    np.testing.assert_array_equal(params.embedding.data[3], before[3])
 
 
 def test_params_copy_is_deep():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from opentc import encoder
-from opentc.calibration import fixed_thresholds
-from opentc.data import EncodedDocument
+from opentc.calibration import CalibrationError, fixed_thresholds
+from opentc.data import EncodedDocs
 from opentc.encoder import EncoderConfig, init_params
 from opentc.evaluation import (
     ConfusionMatrix,
@@ -107,10 +107,8 @@ CFG = EncoderConfig(
 
 
 def _docs(rng, labels):
-    return [
-        EncodedDocument(ids=rng.integers(0, 30, size=8), label=str(l), seen_label=l)
-        for l in labels
-    ]
+    ids = np.stack([rng.integers(0, 30, size=8) for _ in labels])
+    return EncodedDocs(ids=ids, labels=np.array(labels, dtype=np.int64))
 
 
 def test_evaluate_tallies_every_document():
@@ -148,6 +146,11 @@ def test_experiment_spec_validation():
         ExperimentSpec(repetitions=0)
     with pytest.raises(ValueError):
         ExperimentSpec(seen_fractions=(0.0,))
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentSpec(seen_fractions=(0.5, 0.25, 0.5))
+    for alpha in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(CalibrationError):
+            ExperimentSpec(alpha=alpha)
     spec = ExperimentSpec(seen_fractions=[0.5], repetitions=1)
     assert spec.seen_fractions == (0.5,)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opentc.data import OpenSplit, EncodedDocument
+from opentc.data import EncodedDocs, OpenSplit
 from opentc.encoder import EncoderConfig, init_params
 from opentc.trainer import (
     ADAM_EPS,
@@ -20,17 +20,15 @@ CFG = EncoderConfig(
 )
 
 
-def _doc(rng, label, cfg=CFG):
+def _docs(rng, labels, cfg=CFG):
     # class signal: tokens 2-9 for class 0, tokens 10-17 for class 1
-    lo = 2 + 8 * label
-    return EncodedDocument(
-        ids=rng.integers(lo, lo + 8, size=cfg.doc_len), label=str(label), seen_label=label
-    )
+    ids = [rng.integers(2 + 8 * label, 10 + 8 * label, size=cfg.doc_len) for label in labels]
+    return EncodedDocs(ids=np.stack(ids), labels=np.array(labels, dtype=np.int64))
 
 
 def _split(rng, n_per_class=30, cfg=CFG):
-    train_docs = [_doc(rng, l, cfg) for l in (0, 1) for _ in range(n_per_class)]
-    val_docs = [_doc(rng, l, cfg) for l in (0, 1) for _ in range(5)]
+    train_docs = _docs(rng, [l for l in (0, 1) for _ in range(n_per_class)], cfg)
+    val_docs = _docs(rng, [l for l in (0, 1) for _ in range(5)], cfg)
     return OpenSplit(
         train=train_docs, validation=val_docs, test=[], seen_classes=["0", "1"], unseen_classes=[]
     )
@@ -39,8 +37,9 @@ def _split(rng, n_per_class=30, cfg=CFG):
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-1e-3)
+    for lr in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(head="nope")
     TrainConfig(learning_rate=0.0)  # allowed: a no-op optimizer is legal
@@ -119,7 +118,9 @@ def test_best_epoch_params_returned():
 def test_empty_validation_falls_back_to_train_loss():
     rng = np.random.default_rng(7)
     split = _split(rng)
-    split.validation = []
+    split.validation = EncodedDocs(
+        ids=np.empty((0, CFG.doc_len), dtype=np.int64), labels=np.empty(0, dtype=np.int64)
+    )
     params, report = train(split, CFG, TrainConfig(max_epochs=3, seed=0))
     assert params is not None
     assert report.val_losses == report.train_losses
@@ -127,19 +128,19 @@ def test_empty_validation_falls_back_to_train_loss():
 
 def test_unseen_label_in_training_batch_rejected():
     rng = np.random.default_rng(8)
-    d = _doc(rng, 0)
-    bad = EncodedDocument(ids=d.ids, label="?", seen_label=-1)
+    bad = EncodedDocs(ids=_docs(rng, [0]).ids, labels=np.array([-1]))
     params = init_params(CFG, 0)
     cfg = TrainConfig()
     opt = AdamState(params.all_tensors())
     with pytest.raises(ValueError):
-        training_step(params, [bad], cfg, opt)
+        training_step(params, bad, cfg, opt)
 
 
 def test_missing_class_in_train_split_rejected():
     rng = np.random.default_rng(9)
     split = _split(rng)
-    split.train = [d for d in split.train if d.seen_label == 0]
+    keep = split.train.labels == 0
+    split.train = EncodedDocs(ids=split.train.ids[keep], labels=split.train.labels[keep])
     with pytest.raises(ValueError):
         train(split, CFG, TrainConfig(max_epochs=1))
 
