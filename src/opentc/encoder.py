@@ -1,5 +1,10 @@
-"""CNN document encoder: embedding -> multi-width convolution -> max pooling
--> concatenation -> dense -> ReLU -> dense, producing one logit per seen class.
+"""CNN document encoder: embedding -> multi-width convolution + max pooling
+-> concatenation -> ReLU -> dense -> ReLU -> dense, producing one logit per
+seen class.
+
+Each width's convolution and max-over-time pooling run as one fused op, and
+the ReLU follows the pooling: ``relu(max(c)) == max(relu(c))`` exactly, so
+this is the same function as a ReLU on every convolution output.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .tensor import PAD_ID, Tape, Tensor, concat, conv1d_valid, dense, embed_lookup, max_over_time, relu
+from .tensor import PAD_ID, Tape, Tensor, concat, conv_max_pool, dense, embed_lookup, relu
 
 INFERENCE_CHUNK = 256  # documents per forward call in batched_logits
 
@@ -137,10 +142,10 @@ def forward(params: ModelParams, doc, tape: Tape | None = None) -> Tensor:
 
     x = embed_lookup(tape, ids, params.embedding)
     pooled = [
-        max_over_time(tape, relu(tape, conv1d_valid(tape, x, filt, bias)))
+        conv_max_pool(tape, x, filt, bias)
         for filt, bias in zip(params.conv_filters, params.conv_biases)
     ]
-    h = concat(tape, pooled)
+    h = relu(tape, concat(tape, pooled))
     hidden = relu(tape, dense(tape, h, params.w_hidden, params.b_hidden))
     return dense(tape, hidden, params.w_out, params.b_out)
 
@@ -157,9 +162,9 @@ def batched_logits(params: ModelParams, ids: np.ndarray) -> np.ndarray:
 def load_pretrained_embeddings(params: ModelParams, source: Iterable[str] | IO[str], vocab) -> int:
     """Overwrite embedding rows from a word-vector text stream.
 
-    Each line is ``token v1 ... ve``. Rows for tokens present in ``vocab``
-    are replaced, and their values must be finite; the PAD row stays zero.
-    Returns the number of rows replaced.
+    Each line is ``token v1 ... ve`` with e finite numbers, whether or not
+    its token is in ``vocab``. Rows for tokens present in ``vocab`` are
+    replaced; the PAD row stays zero. Returns the number of rows replaced.
     """
     e = params.config.embed_dim
     replaced = 0
@@ -167,21 +172,20 @@ def load_pretrained_embeddings(params: ModelParams, source: Iterable[str] | IO[s
         line = line.strip()
         if not line:
             continue
-        fields = line.split()
-        if len(fields) != e + 1:
+        token, *values = line.split()
+        if len(values) != e:
             raise EmbeddingFormatError(
-                f"line {lineno}: expected token plus {e} values, got {len(fields) - 1}"
+                f"line {lineno}: expected token plus {e} values, got {len(values)}"
             )
-        token = fields[0]
-        token_id = vocab.id_for(token)
-        if token_id is None or token_id == PAD_ID:
-            continue
         try:
-            vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+            vec = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError as exc:
             raise EmbeddingFormatError(f"line {lineno}: non-numeric value") from exc
         if not np.isfinite(vec).all():
             raise EmbeddingFormatError(f"line {lineno}: non-finite value")
+        token_id = vocab.id_for(token)
+        if token_id is None or token_id == PAD_ID:
+            continue
         params.embedding.data[token_id] = vec
         replaced += 1
     return replaced

@@ -1,10 +1,12 @@
 """Minimal dense float64 arrays with reverse-mode gradients.
 
 Only the handful of operations the classifier architecture needs are
-implemented: embedding lookup, valid 1-D convolution, max-over-time
-pooling, dense layers, ReLU and concatenation. All ops accept an optional
-leading batch dimension. Gradients are recorded on an explicit
-``Tape`` and replayed in exact reverse execution order.
+implemented: embedding lookup, the fused valid 1-D convolution plus
+max-over-time pooling that the encoder runs, dense layers, ReLU and
+concatenation. Valid 1-D convolution and max-over-time pooling also exist as
+separate ops, the plain reference the fused op is tested against. All ops
+accept an optional leading batch dimension. Gradients are recorded on an
+explicit ``Tape`` and replayed in exact reverse execution order.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ def embed_lookup(tape: Tape, ids, table: Tensor) -> Tensor:
     def back() -> None:
         if out.grad is None:
             return
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids.reshape(-1), out.grad.reshape(-1, table.data.shape[1]))
+        edim = table.data.shape[1]
+        g = _scatter_add(ids[..., None] * edim + np.arange(edim), out.grad, table.data.size)
+        g = g.reshape(table.data.shape)
         g[PAD_ID] = 0.0
         table.accumulate(g)
 
@@ -91,11 +94,20 @@ def embed_lookup(tape: Tape, ids, table: Tensor) -> Tensor:
     return out
 
 
-def conv1d_valid(tape: Tape, x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
-    """Valid (no padding) 1-D convolution over the time axis.
+def _scatter_add(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Flat (size,) array whose entry i sums the weights at ``index == i``.
 
-    ``x`` is (..., L, e), ``filters`` is (F, w, e), ``bias`` is (F,);
-    output is (..., L-w+1, F).
+    Each entry adds its terms in the order they appear in ``index``, as
+    ``np.add.at`` would, at a fraction of its cost.
+    """
+    return np.bincount(index.reshape(-1), weights=weights.reshape(-1), minlength=size)
+
+
+def _conv_windows(x: Tensor, filters: Tensor, bias: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """im2col of a valid 1-D convolution.
+
+    Returns the windows (..., T, w*e), where window t is rows t..t+w-1 of
+    ``x`` flattened in C order, and the filters flattened to (F, w*e).
     """
     num_filters, width, fdim = filters.shape
     length, edim = x.shape[-2], x.shape[-1]
@@ -106,12 +118,22 @@ def conv1d_valid(tape: Tape, x: Tensor, filters: Tensor, bias: Tensor) -> Tensor
     if length < width:
         raise ValueError(f"input length {length} < filter width {width}")
 
-    steps = length - width + 1
     win = sliding_window_view(x.data, width, axis=-2)  # (..., T, e, w)
     win = np.ascontiguousarray(np.swapaxes(win, -1, -2)).reshape(
-        *x.shape[:-2], steps, width * edim
+        *x.shape[:-2], length - width + 1, width * edim
     )
-    flat_filters = filters.data.reshape(num_filters, width * edim)
+    return win, filters.data.reshape(num_filters, width * edim)
+
+
+def conv1d_valid(tape: Tape, x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
+    """Valid (no padding) 1-D convolution over the time axis.
+
+    ``x`` is (..., L, e), ``filters`` is (F, w, e), ``bias`` is (F,);
+    output is (..., L-w+1, F).
+    """
+    num_filters, width, edim = filters.shape
+    win, flat_filters = _conv_windows(x, filters, bias)
+    steps = win.shape[-2]
     out = Tensor(win @ flat_filters.T + bias.data)
 
     def back() -> None:
@@ -128,6 +150,41 @@ def conv1d_valid(tape: Tape, x: Tensor, filters: Tensor, bias: Tensor) -> Tensor
             (g2.T @ win.reshape(-1, width * edim)).reshape(filters.shape)
         )
         bias.accumulate(g2.sum(axis=0))
+
+    tape.push(back)
+    return out
+
+
+def conv_max_pool(tape: Tape, x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
+    """``max_over_time(conv1d_valid(x, filters, bias))`` in one op.
+
+    ``x`` is (..., L, e), ``filters`` is (F, w, e), ``bias`` is (F,); output
+    is (..., F). The forward values are bit-identical to the two-op chain and
+    ties go to the first time step. Only the pooled values and their time
+    indices are kept, and the backward pass works on the winning windows
+    alone: one per document and filter.
+    """
+    num_filters, width, edim = filters.shape
+    win, flat_filters = _conv_windows(x, filters, bias)
+    conv = win @ flat_filters.T  # (..., T, F)
+    del win  # the backward pass reads the winning windows from x
+    conv += bias.data
+    idx = np.argmax(conv, axis=-2)  # first maximizing time step per filter
+    out = Tensor(np.take_along_axis(conv, idx[..., None, :], axis=-2).squeeze(-2))
+
+    def back() -> None:
+        if out.grad is None:
+            return
+        g = out.grad.reshape(-1, num_filters)  # (N, F)
+        docs = np.arange(len(g))[:, None]
+        # Winning window (n, f) is w*e consecutive entries of C-ordered x.
+        starts = (docs * x.shape[-2] + idx.reshape(g.shape)) * edim
+        flat = starts[..., None] + np.arange(width * edim)  # (N, F, w*e)
+        windows = x.data.reshape(-1)[flat]
+        filters.accumulate(np.einsum("nf,nfk->fk", g, windows).reshape(filters.shape))
+        bias.accumulate(g.sum(axis=0))
+        dx = _scatter_add(flat, g[..., None] * flat_filters, x.data.size)
+        x.accumulate(dx.reshape(x.shape))
 
     tape.push(back)
     return out

@@ -269,6 +269,15 @@ def test_non_finite_pretrained_vector_exit_code(dataset, tmp_path, capsys, no_tr
     assert not (tmp_path / "m.docm").exists()
 
 
+def test_malformed_vector_of_unknown_token_exit_code(dataset, tmp_path, capsys, no_training):
+    vecs = tmp_path / "vecs.txt"
+    vecs.write_text("zzz nan abc 1 2\nyyy 1 2 3 4\n")  # tokens outside the vocabulary
+    argv = ["train", "--data", dataset, "--out", str(tmp_path / "m.docm"), "--pretrained", str(vecs)]
+    assert main([*argv, *FAST_FLAGS, "--embed-dim", "4"]) == 2
+    assert "line 1: non-numeric value" in capsys.readouterr().err
+    assert not (tmp_path / "m.docm").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

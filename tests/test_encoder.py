@@ -12,7 +12,17 @@ from opentc.encoder import (
     init_params,
     load_pretrained_embeddings,
 )
-from opentc.tensor import Tape, Tensor
+from opentc.tensor import (
+    PAD_ID,
+    Tape,
+    Tensor,
+    concat,
+    conv1d_valid,
+    dense,
+    embed_lookup,
+    max_over_time,
+    relu,
+)
 
 
 CFG = EncoderConfig(
@@ -62,6 +72,41 @@ def test_forward_batched_matches_per_doc():
     assert got.shape == (7, CFG.num_classes)
     for i in range(7):
         np.testing.assert_allclose(got[i], forward(params, batch[i]).data, atol=1e-12)
+
+
+def test_forward_is_bit_identical_to_the_unfused_chain_at_paper_shapes():
+    cfg = EncoderConfig(vocab_size=5000, embed_dim=50, num_classes=5, doc_len=200)
+    rng = np.random.default_rng(3)
+    params = init_params(cfg, rng)
+    for b in params.conv_biases:  # push some pooled maxima below zero so the ReLU cuts
+        b.data[:] = rng.uniform(-0.6, 0.1, size=b.shape)
+    ids = rng.integers(1, cfg.vocab_size, size=(16, cfg.doc_len))
+    for row, length in zip(ids, rng.integers(5, cfg.doc_len, size=len(ids))):
+        row[length:] = PAD_ID
+
+    tape = Tape(record=False)
+    x = embed_lookup(tape, ids, params.embedding)
+    pooled = [
+        max_over_time(tape, relu(tape, conv1d_valid(tape, x, f, b)))
+        for f, b in zip(params.conv_filters, params.conv_biases)
+    ]
+    hidden = relu(tape, dense(tape, concat(tape, pooled), params.w_hidden, params.b_hidden))
+    reference = dense(tape, hidden, params.w_out, params.b_out).data
+    assert np.array_equal(forward(params, ids).data, reference)
+
+
+def test_embedding_gradient_is_bit_identical_to_add_at():
+    rng = np.random.default_rng(4)
+    table = Tensor(rng.normal(size=(20, 50)))
+    ids = rng.integers(0, 20, size=(64, 200))  # every row repeats hundreds of times
+    tape = Tape()
+    out = embed_lookup(tape, ids, table)
+    out.grad = rng.normal(size=out.shape)
+    tape._steps[0]()
+    want = np.zeros_like(table.data)
+    np.add.at(want, ids.reshape(-1), out.grad.reshape(-1, 50))
+    want[PAD_ID] = 0.0
+    assert np.array_equal(table.grad, want)
 
 
 def test_batched_logits_matches_single_document_forward():
@@ -186,6 +231,15 @@ def test_load_pretrained_rejects_non_finite_values(value):
     with pytest.raises(EmbeddingFormatError, match="line 2"):
         load_pretrained_embeddings(params, lines, Vocabulary(["apple", "banana"]))
     np.testing.assert_array_equal(params.embedding.data[3], before[3])
+
+
+def test_load_pretrained_checks_lines_of_unknown_tokens():
+    params = init_params(CFG, np.random.default_rng(11))
+    lines = ["zzz nan abc 1 2", "yyy 1 2 3 4"]  # neither token is in the vocabulary
+    with pytest.raises(EmbeddingFormatError, match="line 1: non-numeric value"):
+        load_pretrained_embeddings(params, lines, Vocabulary(["apple"]))
+    with pytest.raises(EmbeddingFormatError, match="line 2: non-finite value"):
+        load_pretrained_embeddings(params, ["yyy 1 2 3 4", "zzz nan 0 1 2"], Vocabulary(["apple"]))
 
 
 def test_params_copy_is_deep():

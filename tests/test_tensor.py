@@ -7,6 +7,7 @@ from opentc.tensor import (
     Tensor,
     concat,
     conv1d_valid,
+    conv_max_pool,
     dense,
     embed_lookup,
     grad_check,
@@ -206,6 +207,90 @@ def test_randomized_composite_gradients(seed):
         c = relu(tape, conv1d_valid(tape, x, filters, bias))
         p = max_over_time(tape, c)
         return ovr_loss(tape, dense(tape, p, wd, bd), label)
+
+    assert grad_check(build, [table, filters, bias, wd, bd]) < 1e-4
+
+
+def _assert_fused_matches_reference(x, filters, bias, relu_after=False):
+    """``conv_max_pool`` against the reference chain
+    ``max_over_time(conv1d_valid)`` for one random upstream gradient: equal
+    forward values, (x, filters, bias) gradients within 1e-12. With
+    ``relu_after`` the fused op is followed by a ReLU and the reference
+    applies it to every convolution output. Returns the fused op's values
+    and gradients."""
+    results = []
+    for fused in (True, False):
+        params = [Tensor(x), Tensor(filters), Tensor(bias)]
+        tape = Tape()
+        if fused:
+            out = conv_max_pool(tape, *params)
+            out = relu(tape, out) if relu_after else out
+        else:
+            c = conv1d_valid(tape, *params)
+            out = max_over_time(tape, relu(tape, c) if relu_after else c)
+        out.grad = np.random.default_rng(0).normal(size=out.shape)
+        for fn in reversed(tape._steps):
+            fn()
+        results.append((out.data, [p.grad for p in params]))
+    (fused, fused_grads), (ref, ref_grads) = results
+    assert fused.shape == ref.shape == x.shape[:-2] + filters.shape[:1]
+    assert np.array_equal(fused, ref)
+    for got, want in zip(fused_grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    return fused, fused_grads
+
+
+@pytest.mark.parametrize(
+    "shape", [(9, 4), (5, 9, 4), (5, 3, 4)], ids=["unbatched", "batched", "single-window"]
+)
+def test_conv_max_pool_matches_reference(shape):
+    rng = np.random.default_rng(21)  # filter width 3: the (5, 3, 4) input has L == w, T == 1
+    _assert_fused_matches_reference(
+        rng.normal(size=shape), rng.normal(size=(6, 3, 4)), rng.normal(size=6)
+    )
+
+
+def test_conv_max_pool_ties_go_to_first_index():
+    rng = np.random.default_rng(23)
+    constant = np.tile(rng.normal(size=3), (3, 8, 1))  # every window of a document is equal
+    _assert_fused_matches_reference(constant, rng.normal(size=(4, 2, 3)), rng.normal(size=4))
+
+    # Negative tokens under positive filters score below the bias; every window
+    # of the all-PAD (zero) tail scores exactly the bias, so the tail ties.
+    x = np.zeros((2, 10, 3))
+    x[:, :4] = -rng.uniform(0.5, 1.0, size=(2, 4, 3))
+    filters = rng.uniform(0.5, 1.0, size=(4, 3, 3))
+    fused, grads = _assert_fused_matches_reference(x, filters, np.ones(4))
+    np.testing.assert_array_equal(fused, np.ones((2, 4)))
+    assert np.count_nonzero(grads[0][:, 7:]) == 0  # only the first tail window (t=4) won
+
+
+def test_conv_max_pool_non_positive_maxima_pass_no_gradient_through_relu():
+    rng = np.random.default_rng(24)
+    x, filters = rng.normal(size=(3, 8, 4)), rng.normal(size=(5, 2, 4))
+    bias = np.full(5, -100.0)  # every convolution output, hence every maximum, is negative
+    _, grads = _assert_fused_matches_reference(x, filters, bias, relu_after=True)
+    for g in grads:
+        np.testing.assert_array_equal(g, np.zeros_like(g))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fused_composite_gradients(seed):
+    rng = np.random.default_rng(100 + seed)
+    B, L, e, F, w = 3, 7, 3, 2, 3
+    table = Tensor(rng.normal(size=(6, e)))
+    table.data[0] = 0.0
+    ids = rng.integers(1, 6, size=(B, L))  # avoid PAD: its gradient is pinned to zero
+    filters = Tensor(rng.normal(size=(F, w, e)))
+    bias = Tensor(rng.normal(size=F))
+    wd = Tensor(rng.normal(size=(2, F)))
+    bd = Tensor(rng.normal(size=2))
+    labels = rng.integers(0, 2, size=B)
+
+    def build(tape):  # the encoder's order: pool first, then ReLU
+        x = embed_lookup(tape, ids, table)
+        p = relu(tape, conv_max_pool(tape, x, filters, bias))
+        return ovr_loss(tape, dense(tape, p, wd, bd), labels)
 
     assert grad_check(build, [table, filters, bias, wd, bd]) < 1e-4
 
