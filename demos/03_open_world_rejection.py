@@ -8,33 +8,23 @@ rejected while seen classes are still recognized.
 import numpy as np
 
 from opentc.calibration import fit_thresholds, fixed_thresholds
-from opentc.data import build_vocab_from_split, encode_open_split, make_open_split
-from opentc.encoder import EncoderConfig
 from opentc.evaluation import evaluate, macro_f1
 from opentc.synthetic import generate_synthetic_dataset
-from opentc.trainer import TrainConfig, train
+from opentc.trainer import ModelSpec, TrainConfig, train
 
 docs = generate_synthetic_dataset(num_classes=6, docs_per_class=150, seed=0)
-split = make_open_split(docs, seen_fraction=0.5, rep_seed=0)
-print(f"seen classes:   {split.seen_classes}")
-print(f"unseen classes: {split.unseen_classes} (test-time only)")
-
-vocab = build_vocab_from_split(split, max_size=500)
-enc = encode_open_split(split, vocab, doc_len=80)
-cfg = EncoderConfig(
-    vocab_size=len(vocab),
-    embed_dim=24,
-    num_classes=len(split.seen_classes),
-    doc_len=80,
-    filter_widths=(3, 4),
-    filters_per_width=20,
-    hidden_dim=40,
+spec = ModelSpec(
+    vocab_size=500, doc_len=80, embed_dim=24, filter_widths=(3, 4), filters_per_width=20, hidden_dim=40
 )
+enc, vocab, cfg = spec.prepare(docs, seen_fraction=0.5, seed=0)
+print(f"seen classes:   {enc.seen_classes}")
+print(f"unseen classes: {enc.unseen_classes} (test-time only)")
+
 params, report = train(enc, cfg, TrainConfig(max_epochs=30, seed=0))
 print(f"trained {len(report.train_losses)} epochs, best epoch {report.best_epoch}")
 
 thresholds = fit_thresholds(params, enc.train, alpha=3.0)
-for name, t in zip(split.seen_classes, thresholds.t):
+for name, t in zip(enc.seen_classes, thresholds.t):
     print(f"  threshold[{name}] = {t:.4f}")
 
 for label, tv in [("calibrated", thresholds), ("fixed t=0.5", fixed_thresholds(cfg.num_classes))]:

@@ -8,7 +8,7 @@ couple of minutes; raise the knobs for a sharper picture.
 
 from opentc.evaluation import ExperimentSpec, run_experiment
 from opentc.synthetic import generate_synthetic_dataset
-from opentc.trainer import TrainConfig
+from opentc.trainer import ModelSpec, TrainConfig
 
 docs = generate_synthetic_dataset(num_classes=6, docs_per_class=150, seed=0)
 
@@ -16,12 +16,9 @@ spec = ExperimentSpec(
     seen_fractions=(0.5, 1.0),
     repetitions=2,
     base_seed=0,
-    embed_dim=24,
-    doc_len=80,
-    vocab_size=500,
-    filter_widths=(3, 4),
-    filters_per_width=20,
-    hidden_dim=40,
+    model=ModelSpec(
+        vocab_size=500, doc_len=80, embed_dim=24, filter_widths=(3, 4), filters_per_width=20, hidden_dim=40
+    ),
     train_config=TrainConfig(max_epochs=30, patience=5),
 )
 

@@ -33,7 +33,7 @@ from .head import OpenPrediction, class_probabilities, predict_closed, predict_o
 from .model_io import TrainedModel, load_model, save_model
 from .synthetic import generate_synthetic_dataset
 from .tensor import Tape, Tensor, grad_check
-from .trainer import TrainConfig, TrainReport, train
+from .trainer import ModelSpec, TrainConfig, TrainReport, train
 
 __all__ = [
     "ConfusionMatrix",
@@ -42,6 +42,7 @@ __all__ = [
     "EncoderConfig",
     "ExperimentSpec",
     "ModelParams",
+    "ModelSpec",
     "OpenPrediction",
     "OpenSplit",
     "Tape",

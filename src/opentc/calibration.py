@@ -17,6 +17,9 @@ from .encoder import ModelParams, batched_logits
 from .head import class_probabilities
 
 
+DEFAULT_ALPHA = 3.0  # the paper's alpha
+
+
 class CalibrationError(ValueError):
     pass
 
@@ -60,7 +63,9 @@ def check_alpha(alpha: float) -> None:
         raise CalibrationError(f"alpha must be positive and finite, got {alpha}")
 
 
-def fit_thresholds(params: ModelParams, train_docs: EncodedDocs, alpha: float = 3.0) -> ThresholdVector:
+def fit_thresholds(
+    params: ModelParams, train_docs: EncodedDocs, alpha: float = DEFAULT_ALPHA
+) -> ThresholdVector:
     """Fit one threshold per seen class from training-set probabilities.
 
     For class i, collect sigmoid(d_i) over every training example whose gold

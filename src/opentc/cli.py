@@ -9,23 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .calibration import CalibrationError, check_alpha, fit_thresholds, fixed_thresholds
-from .data import (
-    build_vocab_from_split,
-    encode,
-    encode_documents,
-    encode_open_split,
-    load_jsonl,
-    make_open_split,
-    tokenize,
-)
-from .encoder import EncoderConfig, forward, init_params, load_pretrained_embeddings
+from .calibration import DEFAULT_ALPHA, CalibrationError, check_alpha, fit_thresholds, fixed_thresholds
+from .data import encode, encode_documents, load_jsonl, tokenize
+from .encoder import forward, init_params, load_pretrained_embeddings
 from .evaluation import ExperimentSpec, run_experiment
 from .head import class_probabilities, predict_open
 from .model_io import TrainedModel, load_model, save_model
-from .trainer import HEAD_ONE_VS_REST, HEAD_SOFTMAX, TrainConfig, TrainingDivergedError, train
+from .trainer import HEAD_ONE_VS_REST, ModelSpec, TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,32 +42,42 @@ def _comma_separated(kind: type):
     return parse
 
 
-def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--embed-dim", type=int, default=50)
-    p.add_argument("--doc-len", type=int, default=200)
-    p.add_argument("--vocab-size", type=int, default=5000)
-    p.add_argument(
-        "--filter-widths", type=_comma_separated(int), default="3,4,5", help="comma-separated widths"
-    )
-    p.add_argument("--filters-per-width", type=int, default=150)
-    p.add_argument("--hidden-dim", type=int, default=250)
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per ``ModelSpec`` field, named after it and defaulting to it."""
+    for f in fields(ModelSpec):
+        kind = _comma_separated(int) if f.name == "filter_widths" else int
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=kind, default=f.default)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--patience", type=int, default=3)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
 
 
-def _train_config(args, head: str) -> TrainConfig:
+def _model_spec(args) -> ModelSpec:
+    return ModelSpec(**{f.name: getattr(args, f.name) for f in fields(ModelSpec)})
+
+
+def _train_config(args) -> TrainConfig:
     return TrainConfig(
         batch_size=args.batch_size,
         max_epochs=args.epochs,
         learning_rate=args.lr,
         patience=args.patience,
         seed=args.seed,
-        head=head,
+    )
+
+
+def _experiment_spec(args) -> ExperimentSpec:
+    return ExperimentSpec(
+        seen_fractions=args.fractions,
+        repetitions=args.reps,
+        base_seed=args.seed,
+        alpha=args.alpha,
+        model=_model_spec(args),
+        train_config=_train_config(args),
     )
 
 
@@ -94,20 +97,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a model from a JSONL dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--head", choices=[HEAD_ONE_VS_REST, HEAD_SOFTMAX], default=HEAD_ONE_VS_REST)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--seen-fraction", type=float, default=1.0)
     p.add_argument("--calibrate", action="store_true", help="fit thresholds after training")
-    p.add_argument("--alpha", type=float, default=3.0)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--report", help="write the training report JSON here")
     p.add_argument("--pretrained", help="word-vector text file to initialize embeddings")
-    _add_encoder_flags(p)
+    _add_model_flags(p)
     _add_train_flags(p)
 
     p = sub.add_parser("calibrate", help="fit per-class thresholds into a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--alpha", type=float, default=3.0)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
 
     p = sub.add_parser("predict", help="classify or reject documents, one per line")
     p.add_argument("--model", required=True)
@@ -117,12 +119,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="seen-fraction sweep with repeated class choices")
     p.add_argument("--data", required=True)
-    p.add_argument("--fractions", type=_comma_separated(float), default="0.25,0.5,0.75,1.0")
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=3.0)
+    p.add_argument("--fractions", type=_comma_separated(float), default=ExperimentSpec.seen_fractions)
+    p.add_argument("--reps", type=int, default=ExperimentSpec.repetitions)
+    p.add_argument("--seed", type=int, default=ExperimentSpec.base_seed)
+    p.add_argument("--alpha", type=float, default=ExperimentSpec.alpha)
     p.add_argument("--report", help="write the result JSON here")
-    _add_encoder_flags(p)
+    _add_model_flags(p)
     _add_train_flags(p)
 
     p = sub.add_parser("inspect", help="print model file contents")
@@ -135,20 +137,9 @@ def cmd_train(args) -> int:
     _check_output_paths(args.out, args.report)
     if args.calibrate:
         check_alpha(args.alpha)
-    train_config = _train_config(args, args.head)
+    train_config = _train_config(args)
     docs = load_jsonl(args.data)
-    split = make_open_split(docs, args.seen_fraction, args.seed)
-    vocab = build_vocab_from_split(split, args.vocab_size)
-    enc_split = encode_open_split(split, vocab, args.doc_len)
-    cfg = EncoderConfig(
-        vocab_size=len(vocab),
-        embed_dim=args.embed_dim,
-        num_classes=len(split.seen_classes),
-        doc_len=args.doc_len,
-        filter_widths=args.filter_widths,
-        filters_per_width=args.filters_per_width,
-        hidden_dim=args.hidden_dim,
-    )
+    enc_split, vocab, cfg = _model_spec(args).prepare(docs, args.seen_fraction, args.seed)
     initial = None
     if args.pretrained:
         initial = init_params(cfg, args.seed)
@@ -163,8 +154,7 @@ def cmd_train(args) -> int:
     model = TrainedModel(
         params=params,
         vocab=vocab,
-        class_names=list(split.seen_classes),
-        head=args.head,
+        class_names=list(enc_split.seen_classes),
         thresholds=thresholds,
     )
     save_model(args.out, model)
@@ -237,20 +227,8 @@ def cmd_predict(args) -> int:
 
 def cmd_experiment(args) -> int:
     _check_output_paths(args.report)
+    spec = _experiment_spec(args)
     docs = load_jsonl(args.data)
-    spec = ExperimentSpec(
-        seen_fractions=args.fractions,
-        repetitions=args.reps,
-        base_seed=args.seed,
-        alpha=args.alpha,
-        embed_dim=args.embed_dim,
-        doc_len=args.doc_len,
-        vocab_size=args.vocab_size,
-        filter_widths=args.filter_widths,
-        filters_per_width=args.filters_per_width,
-        hidden_dim=args.hidden_dim,
-        train_config=_train_config(args, HEAD_ONE_VS_REST),
-    )
     result = run_experiment(spec, docs)
     print(result.to_text())
     if args.report:
@@ -262,7 +240,7 @@ def cmd_experiment(args) -> int:
 def cmd_inspect(args) -> int:
     model = load_model(args.model)
     cfg = model.config
-    print(f"head: {model.head}")
+    print(f"head: {HEAD_ONE_VS_REST}")
     print(f"classes ({cfg.num_classes}): {', '.join(model.class_names)}")
     print(f"vocab size: {len(model.vocab)}")
     print(

@@ -47,7 +47,7 @@ class Vocabulary:
         self._ids = {tok: i + 2 for i, tok in enumerate(self._tokens)}
 
     @classmethod
-    def build(cls, token_docs: list[list[str]], max_size: int = 20000) -> "Vocabulary":
+    def build(cls, token_docs: list[list[str]], max_size: int) -> "Vocabulary":
         if max_size < 3:
             raise ValueError("max_size must be >= 3")
         counts = Counter()

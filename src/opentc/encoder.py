@@ -26,13 +26,15 @@ class EmbeddingFormatError(ValueError):
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """The shape of a built encoder, filled in by ``ModelSpec.prepare`` or ``load_model``."""
+
     vocab_size: int
     embed_dim: int
     num_classes: int
     doc_len: int
-    filter_widths: tuple[int, ...] = (3, 4, 5)
-    filters_per_width: int = 150
-    hidden_dim: int = 250
+    filter_widths: tuple[int, ...]
+    filters_per_width: int
+    hidden_dim: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
@@ -44,6 +46,8 @@ class EncoderConfig:
             raise ValueError("need at least 2 classes")
         if tuple(sorted(self.filter_widths)) != self.filter_widths:
             raise ValueError("filter_widths must be ascending")
+        if self.filter_widths[0] < 1:
+            raise ValueError("filter widths must be >= 1")
         if self.doc_len < max(self.filter_widths):
             raise ValueError("doc_len shorter than the widest filter")
 

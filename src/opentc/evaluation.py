@@ -9,11 +9,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calibration import ThresholdVector, check_alpha, fit_thresholds, fixed_thresholds
-from .data import Document, EncodedDocs, build_vocab_from_split, encode_open_split, make_open_split
-from .encoder import EncoderConfig, ModelParams, batched_logits
+from .calibration import DEFAULT_ALPHA, ThresholdVector, check_alpha, fit_thresholds, fixed_thresholds
+from .data import Document, EncodedDocs
+from .encoder import ModelParams, batched_logits
 from .head import class_probabilities, predict_closed, predict_open
-from .trainer import HEAD_ONE_VS_REST, HEAD_SOFTMAX, TrainConfig, train
+from .trainer import HEAD_ONE_VS_REST, HEAD_SOFTMAX, ModelSpec, TrainConfig, train
 
 METHOD_DOC = "doc"
 METHOD_DOC_T05 = "doc_t0.5"
@@ -97,21 +97,18 @@ def evaluate_closed(params: ModelParams, test_docs: EncodedDocs) -> ConfusionMat
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """The sweep: per seen fraction, ``repetitions`` runs, each preparing its
+    own split with ``model`` and training under ``train_config``."""
+
     seen_fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
     repetitions: int = 10
     base_seed: int = 0
-    alpha: float = 3.0
-    embed_dim: int = 50
-    doc_len: int = 200
-    vocab_size: int = 5000
-    filter_widths: tuple[int, ...] = (3, 4, 5)
-    filters_per_width: int = 150
-    hidden_dim: int = 250
+    alpha: float = DEFAULT_ALPHA
+    model: ModelSpec = field(default_factory=ModelSpec)
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seen_fractions", tuple(self.seen_fractions))
-        object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if any(not 0 < f <= 1 for f in self.seen_fractions):
@@ -119,17 +116,6 @@ class ExperimentSpec:
         if len(set(self.seen_fractions)) != len(self.seen_fractions):
             raise ValueError(f"seen fractions must be distinct, got {list(self.seen_fractions)}")
         check_alpha(self.alpha)
-
-    def encoder_config(self, num_classes: int) -> EncoderConfig:
-        return EncoderConfig(
-            vocab_size=self.vocab_size,
-            embed_dim=self.embed_dim,
-            num_classes=num_classes,
-            doc_len=self.doc_len,
-            filter_widths=self.filter_widths,
-            filters_per_width=self.filters_per_width,
-            hidden_dim=self.hidden_dim,
-        )
 
 
 @dataclass
@@ -188,10 +174,7 @@ def run_single(
     split_seed = _derive_seed(spec.base_seed, fraction_index, rep, 0)
     train_seed = _derive_seed(spec.base_seed, fraction_index, rep, 1)
 
-    raw = make_open_split(docs, fraction, split_seed)
-    vocab = build_vocab_from_split(raw, spec.vocab_size)
-    enc_split = encode_open_split(raw, vocab, spec.doc_len)
-    enc_cfg = spec.encoder_config(len(raw.seen_classes))
+    enc_split, _, enc_cfg = spec.model.prepare(docs, fraction, split_seed)
 
     doc_cfg = replace(spec.train_config, seed=train_seed, head=HEAD_ONE_VS_REST)
     doc_params, _ = train(enc_split, enc_cfg, doc_cfg)

@@ -6,11 +6,12 @@ optional threshold block), vocabulary JSON (tokens in id order), and one raw
 float64 little-endian block per parameter tensor in ``ModelParams.all_tensors``
 order. Round trips are byte-identical, and a save replaces the file atomically.
 
-Every version-1 file loads, including those whose config still carries
-``"relu_after_conv": true``; one with ``false`` describes an encoder this code
-no longer has and is refused. Any missing or mistyped header field, and any
-non-finite parameter, threshold or sigma, raises ``ModelFormatError``; a save
-refuses the same non-finite values before it writes anything.
+A version-1 file loads if its head is ``"one_vs_rest"`` (the only head a
+save writes) and its config, if it still carries ``relu_after_conv``, has it
+true; any other file describes a model this code no longer has and is
+refused. Any missing or mistyped header field, and any non-finite parameter,
+threshold or sigma, raises ``ModelFormatError``; a save refuses the same
+non-finite values before it writes anything.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .calibration import ThresholdVector
 from .data import Vocabulary
 from .encoder import EncoderConfig, ModelParams, param_shapes
 from .tensor import Tensor
+from .trainer import HEAD_ONE_VS_REST
 
 MAGIC = b"DOCM"
 VERSION = 1
@@ -40,7 +42,6 @@ class TrainedModel:
     params: ModelParams
     vocab: Vocabulary
     class_names: list[str]  # order defines class indices
-    head: str
     thresholds: ThresholdVector | None = None
 
     @property
@@ -80,7 +81,7 @@ def save_model(path, model: TrainedModel) -> None:
             _require_finite(getattr(model.thresholds, name), f"thresholds {name}")
     header = {
         "config": model.config.to_dict(),
-        "head": model.head,
+        "head": HEAD_ONE_VS_REST,
         "class_names": list(model.class_names),
         "thresholds": None
         if model.thresholds is None
@@ -150,7 +151,8 @@ def load_model(path) -> TrainedModel:
         if fh.read(1):
             raise ModelFormatError("trailing bytes after model payload")
 
-    head = _field(header, "head", str)
+    if _field(header, "head", str) != HEAD_ONE_VS_REST:
+        raise ModelFormatError(f"only {HEAD_ONE_VS_REST!r} models are supported")
     class_names = _field(header, "class_names", list)
     if not all(isinstance(c, str) for c in class_names):
         raise ModelFormatError("class names must be strings")
@@ -175,6 +177,5 @@ def load_model(path) -> TrainedModel:
         params=ModelParams.from_tensors(cfg, tensors),
         vocab=Vocabulary(tokens),
         class_names=class_names,
-        head=head,
         thresholds=thresholds,
     )

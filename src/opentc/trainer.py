@@ -1,4 +1,5 @@
-"""Mini-batch gradient training with validation-based early stopping.
+"""From corpus to model: ``ModelSpec.prepare`` readies a corpus for training,
+then mini-batch gradient training with validation-based early stopping.
 
 The objective is the summed one-vs-rest log loss (or the softmax baseline
 loss); each optimizer step divides by the batch size so the learning rate is
@@ -14,7 +15,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import EncodedDocs, OpenSplit
+from . import data
+from .data import Document, EncodedDocs, OpenSplit, Vocabulary
 from .encoder import EncoderConfig, ModelParams, batched_logits, forward, init_params
 from .head import ovr_loss, softmax_loss
 from .tensor import Tape, Tensor
@@ -32,6 +34,31 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """What is chosen before the data is seen, with the paper's defaults."""
+
+    vocab_size: int = 5000  # cap on the vocabulary, PAD and UNK included
+    doc_len: int = 200
+    embed_dim: int = 50
+    filter_widths: tuple[int, ...] = (3, 4, 5)
+    filters_per_width: int = 150
+    hidden_dim: int = 250
+
+    def prepare(
+        self, docs: list[Document], seen_fraction: float, seed: int
+    ) -> tuple[OpenSplit, Vocabulary, EncoderConfig]:
+        """The one recipe from corpus to trainable split: split ``docs``, build
+        the vocabulary from the training split alone and encode every split.
+        The returned config has one embedding row per vocabulary id and one
+        output per seen class."""
+        raw = data.make_open_split(docs, seen_fraction, seed)
+        vocab = data.build_vocab_from_split(raw, self.vocab_size)
+        shape = {**asdict(self), "vocab_size": len(vocab)}
+        config = EncoderConfig(num_classes=len(raw.seen_classes), **shape)
+        return data.encode_open_split(raw, vocab, self.doc_len), vocab, config
 
 
 @dataclass(frozen=True)

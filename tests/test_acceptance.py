@@ -40,7 +40,7 @@ from opentc.evaluation import (
 from opentc.head import ovr_loss, predict_open
 from opentc.synthetic import generate_synthetic_dataset
 from opentc.tensor import Tape, Tensor, grad_check
-from opentc.trainer import TrainConfig, train
+from opentc.trainer import ModelSpec, TrainConfig, train
 from opentc.cli import main as cli_main
 
 
@@ -207,12 +207,14 @@ def test_criterion_4_macro_f1_oracle(capsys):
 _SPEC_KW = dict(
     base_seed=0,
     alpha=3.0,
-    embed_dim=50,
-    doc_len=200,
-    vocab_size=500,
-    filter_widths=(3, 4, 5),
-    filters_per_width=50,
-    hidden_dim=100,
+    model=ModelSpec(
+        embed_dim=50,
+        doc_len=200,
+        vocab_size=500,
+        filter_widths=(3, 4, 5),
+        filters_per_width=50,
+        hidden_dim=100,
+    ),
 )
 _TRAIN = TrainConfig(max_epochs=12, patience=3, batch_size=64)
 
@@ -263,18 +265,7 @@ def test_criterion_5b_fixed_threshold_beats_softmax(capsys, directional_result):
 
 
 def test_criterion_8_closed_world_sanity(capsys, corpus):
-    split = make_open_split(corpus, seen_fraction=1.0, rep_seed=0)
-    vocab = build_vocab_from_split(split, _SPEC_KW["vocab_size"])
-    enc = encode_open_split(split, vocab, _SPEC_KW["doc_len"])
-    cfg = EncoderConfig(
-        vocab_size=_SPEC_KW["vocab_size"],
-        embed_dim=50,
-        num_classes=8,
-        doc_len=200,
-        filter_widths=(3, 4, 5),
-        filters_per_width=50,
-        hidden_dim=100,
-    )
+    enc, _, cfg = _SPEC_KW["model"].prepare(corpus, seen_fraction=1.0, seed=0)
     scores = {}
     for head in ("one_vs_rest", "softmax"):
         train_cfg = TrainConfig(

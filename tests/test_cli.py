@@ -1,10 +1,14 @@
+import inspect
 import json
 
 import pytest
 
-from opentc.cli import main
+from opentc.calibration import fit_thresholds
+from opentc.cli import _experiment_spec, _model_spec, _train_config, build_parser, main
 from opentc.data import Document, save_jsonl
+from opentc.evaluation import ExperimentSpec
 from opentc.synthetic import generate_synthetic_dataset
+from opentc.trainer import ModelSpec, TrainConfig
 
 
 FAST_FLAGS = [
@@ -100,14 +104,6 @@ def test_inspect_command(dataset, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "head: one_vs_rest" in out
     assert "class0" in out and "thresholds" in out
-
-
-def test_train_softmax_head(dataset, tmp_path, capsys):
-    model = _train(dataset, tmp_path / "m.docm", "--head", "softmax")
-    capsys.readouterr()
-    rc = main(["inspect", "--model", model])
-    assert rc == 0
-    assert "head: softmax" in capsys.readouterr().out
 
 
 def test_experiment_command(dataset, tmp_path, capsys):
@@ -237,6 +233,9 @@ def test_train_calibrate_with_nan_alpha_writes_no_model(dataset, tmp_path, capsy
         ["experiment", "--report", "{tmp}"],
         ["experiment", "--fractions", "0.5,0.5"],
         ["experiment", "--lr", "inf"],
+        ["train", "--out", "{tmp}/m.docm", "--filter-widths", "0"],
+        ["train", "--out", "{tmp}/m.docm", "--filter-widths=-1"],
+        ["experiment", "--filter-widths", "0,2"],
     ],
     ids=[
         "train-out-dir-missing",
@@ -249,12 +248,15 @@ def test_train_calibrate_with_nan_alpha_writes_no_model(dataset, tmp_path, capsy
         "experiment-report-is-dir",
         "experiment-duplicate-fractions",
         "experiment-lr-inf",
+        "train-filter-width-0",
+        "train-filter-width-negative",
+        "experiment-filter-width-0",
     ],
 )
 def test_bad_input_exits_2_before_training(argv, dataset, tmp_path, capsys, no_training):
     command, *flags = argv
     flags = [flag.format(tmp=tmp_path) for flag in flags]
-    assert main([command, "--data", dataset, *flags, *FAST_FLAGS]) == 2
+    assert main([command, "--data", dataset, *FAST_FLAGS, *flags]) == 2  # flags override FAST_FLAGS
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
@@ -292,3 +294,15 @@ def test_malformed_comma_separated_flag_is_a_usage_error(argv, capsys):
         main(argv)
     assert exc_info.value.code == 1
     assert "invalid comma-separated" in capsys.readouterr().err
+
+
+def test_flag_defaults_are_the_dataclass_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["train", "--data", "d.jsonl", "--out", "m.docm"])
+    assert _model_spec(args) == ModelSpec()
+    assert _train_config(args) == TrainConfig()
+    assert args.alpha == inspect.signature(fit_thresholds).parameters["alpha"].default
+    args = parser.parse_args(["calibrate", "--model", "m.docm", "--data", "d.jsonl"])
+    assert args.alpha == inspect.signature(fit_thresholds).parameters["alpha"].default
+    args = parser.parse_args(["experiment", "--data", "d.jsonl"])
+    assert _experiment_spec(args) == ExperimentSpec()

@@ -27,7 +27,7 @@ def test_tokenize_lowercases_and_splits():
 
 def test_vocab_build_frequency_order_with_tie_break():
     docs = [["b", "b", "a", "a", "c"], ["c", "c"]]
-    v = Vocabulary.build(docs)
+    v = Vocabulary.build(docs, max_size=100)
     # c appears 3x, a and b 2x each -> a before b lexicographically
     assert v.id_for("c") == 2
     assert v.id_for("a") == 3

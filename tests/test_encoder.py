@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from opentc.tensor import (
     max_over_time,
     relu,
 )
+from opentc.trainer import ModelSpec
 
 
 CFG = EncoderConfig(
@@ -75,7 +78,7 @@ def test_forward_batched_matches_per_doc():
 
 
 def test_forward_is_bit_identical_to_the_unfused_chain_at_paper_shapes():
-    cfg = EncoderConfig(vocab_size=5000, embed_dim=50, num_classes=5, doc_len=200)
+    cfg = EncoderConfig(num_classes=5, **asdict(ModelSpec()))
     rng = np.random.default_rng(3)
     params = init_params(cfg, rng)
     for b in params.conv_biases:  # push some pooled maxima below zero so the ReLU cuts

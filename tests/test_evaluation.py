@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from opentc import encoder
+from opentc import encoder, evaluation
 from opentc.calibration import CalibrationError, fixed_thresholds
-from opentc.data import EncodedDocs
+from opentc.data import EncodedDocs, build_vocab_from_split, make_open_split
 from opentc.encoder import EncoderConfig, init_params
 from opentc.evaluation import (
     ConfusionMatrix,
@@ -13,7 +13,10 @@ from opentc.evaluation import (
     evaluate,
     evaluate_closed,
     macro_f1,
+    run_single,
 )
+from opentc.synthetic import generate_synthetic_dataset
+from opentc.trainer import ModelSpec, TrainConfig
 
 
 def oracle_macro_f1(gold, pred, classes):
@@ -153,6 +156,33 @@ def test_experiment_spec_validation():
             ExperimentSpec(alpha=alpha)
     spec = ExperimentSpec(seen_fractions=[0.5], repetitions=1)
     assert spec.seen_fractions == (0.5,)
+
+
+def test_run_single_sizes_the_embedding_by_the_vocabulary(monkeypatch):
+    docs = generate_synthetic_dataset(num_classes=3, docs_per_class=20, seed=0)
+    model = ModelSpec(
+        vocab_size=100_000, doc_len=12, embed_dim=4, filter_widths=(2,), filters_per_width=3, hidden_dim=4
+    )
+    spec = ExperimentSpec(
+        seen_fractions=(1.0,), repetitions=1, model=model, train_config=TrainConfig(max_epochs=1)
+    )
+    trained = []
+
+    def capture(split, enc_cfg, cfg):
+        params, report = real_train(split, enc_cfg, cfg)
+        trained.append(params)
+        return params, report
+
+    real_train = evaluation.train
+    monkeypatch.setattr(evaluation, "train", capture)
+    run_single(spec, docs, 1.0, 0, 0)
+    split = make_open_split(docs, 1.0, _derive_seed(spec.base_seed, 0, 0, 0))
+    vocab_len = len(build_vocab_from_split(split, model.vocab_size))
+    assert vocab_len < model.vocab_size
+    assert len(trained) == 2  # the one-vs-rest and the softmax model
+    for params in trained:
+        assert params.config.vocab_size == vocab_len
+        assert params.embedding.data.shape == (vocab_len, model.embed_dim)
 
 
 def test_derive_seed_is_deterministic_and_distinct():

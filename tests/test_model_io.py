@@ -35,7 +35,6 @@ def _model(seed=0, with_thresholds=True):
         params=params,
         vocab=Vocabulary([f"tok{i}" for i in range(10)]),
         class_names=["alpha", "beta"],
-        head="ovr",
         thresholds=tv,
     )
 
@@ -47,7 +46,6 @@ def test_round_trip_preserves_everything(tmp_path):
     loaded = load_model(path)
     assert loaded.config == CFG
     assert loaded.class_names == model.class_names
-    assert loaded.head == model.head
     assert loaded.vocab.tokens == model.vocab.tokens
     np.testing.assert_array_equal(loaded.thresholds.t, model.thresholds.t)
     np.testing.assert_array_equal(loaded.thresholds.sigma, model.thresholds.sigma)
@@ -150,6 +148,26 @@ def test_older_header_with_relu_after_conv(tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(path)
     assert main(["inspect", "--model", str(path)]) == 2
+
+
+def test_filter_width_below_1_rejected(tmp_path):
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    _rewrite_header(path, lambda h: h["config"].update(filter_widths=[0, 3]))
+    with pytest.raises(ModelFormatError, match="filter widths must be >= 1"):
+        load_model(path)
+
+
+def test_head_other_than_one_vs_rest_exits_2(tmp_path, capsys):
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    assert _header(path)[0]["head"] == "one_vs_rest"
+    _rewrite_header(path, lambda h: h.update(head="softmax"))
+    docs = tmp_path / "docs.txt"
+    docs.write_text("tok1 tok2\n")
+    assert main(["predict", "--model", str(path), "--input", str(docs), "--t", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "one_vs_rest" in captured.err
 
 
 @pytest.mark.parametrize("key", ["config", "head", "class_names", "thresholds"])
