@@ -8,6 +8,7 @@ rejected while seen classes are still recognized.
 import numpy as np
 
 from opentc.calibration import fit_thresholds, fixed_thresholds
+from opentc.encoder import batched_logits
 from opentc.evaluation import evaluate, macro_f1
 from opentc.synthetic import generate_synthetic_dataset
 from opentc.trainer import ModelSpec, TrainConfig, train
@@ -23,12 +24,13 @@ print(f"unseen classes: {enc.unseen_classes} (test-time only)")
 params, report = train(enc, cfg, TrainConfig(max_epochs=30, seed=0))
 print(f"trained {len(report.train_losses)} epochs, best epoch {report.best_epoch}")
 
-thresholds = fit_thresholds(params, enc.train, alpha=3.0)
+thresholds = fit_thresholds(batched_logits(params, enc.train.ids), enc.train.labels, alpha=3.0)
 for name, t in zip(enc.seen_classes, thresholds.t):
     print(f"  threshold[{name}] = {t:.4f}")
 
+test_logits = batched_logits(params, enc.test.ids)  # one forward, scored under both threshold sets
 for label, tv in [("calibrated", thresholds), ("fixed t=0.5", fixed_thresholds(cfg.num_classes))]:
-    cm = evaluate(params, tv, enc.test)
+    cm = evaluate(test_logits, tv, enc.test.labels)
     m = cfg.num_classes
     unseen_total = cm.counts[m].sum()
     rejected = cm.counts[m, m]

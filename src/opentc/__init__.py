@@ -20,7 +20,7 @@ from .data import (
     save_jsonl,
     tokenize,
 )
-from .encoder import EncoderConfig, ModelParams, forward, init_params
+from .encoder import EncoderConfig, ModelParams, batched_logits, forward, init_params
 from .evaluation import (
     ConfusionMatrix,
     ExperimentSpec,
@@ -29,7 +29,7 @@ from .evaluation import (
     macro_f1,
     run_experiment,
 )
-from .head import OpenPrediction, class_probabilities, predict_closed, predict_open
+from .head import OpenPrediction, class_probabilities, predict_open
 from .model_io import TrainedModel, load_model, save_model
 from .synthetic import generate_synthetic_dataset
 from .tensor import Tape, Tensor, grad_check
@@ -52,6 +52,7 @@ __all__ = [
     "TrainReport",
     "TrainedModel",
     "Vocabulary",
+    "batched_logits",
     "build_vocab_from_split",
     "class_probabilities",
     "encode",
@@ -69,7 +70,6 @@ __all__ = [
     "load_model",
     "macro_f1",
     "make_open_split",
-    "predict_closed",
     "predict_open",
     "run_experiment",
     "save_jsonl",

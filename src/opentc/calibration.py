@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EncodedDocs
-from .encoder import ModelParams, batched_logits
 from .head import class_probabilities
 
 
@@ -63,23 +61,22 @@ def check_alpha(alpha: float) -> None:
         raise CalibrationError(f"alpha must be positive and finite, got {alpha}")
 
 
-def fit_thresholds(
-    params: ModelParams, train_docs: EncodedDocs, alpha: float = DEFAULT_ALPHA
-) -> ThresholdVector:
-    """Fit one threshold per seen class from training-set probabilities.
+def fit_thresholds(logits, labels, alpha: float = DEFAULT_ALPHA) -> ThresholdVector:
+    """Fit one threshold per seen class from an (N, m) training logit matrix.
 
-    For class i, collect sigmoid(d_i) over every training example whose gold
-    label is i (regardless of where the model ranks class i), fit sigma and
-    set t_i = max(0.5, 1 - alpha * sigma_i). Probabilities that underflow to
-    0 count as the smallest positive float. Inference only; parameters are
-    never modified.
+    For class i, collect sigmoid(d_i) over every row whose gold label is i
+    (regardless of where the model ranks class i), fit sigma and set
+    t_i = max(0.5, 1 - alpha * sigma_i). Probabilities that underflow to 0
+    count as the smallest positive float.
     """
     check_alpha(alpha)
-    m = params.config.num_classes
-    labels = train_docs.labels
+    logits, labels = np.asarray(logits), np.asarray(labels)
+    if logits.ndim != 2 or labels.shape != (len(logits),):
+        raise CalibrationError(f"need an (N, m) logit matrix and N labels, got {logits.shape}, {labels.shape}")
+    m = logits.shape[1]
     if ((labels < 0) | (labels >= m)).any():
         raise CalibrationError("calibration data must carry seen-class labels")
-    probs = class_probabilities(batched_logits(params, train_docs.ids))
+    probs = class_probabilities(logits)
     own = np.maximum(probs[np.arange(len(labels)), labels], np.finfo(np.float64).tiny)
 
     sigma = np.zeros(m)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .calibration import DEFAULT_ALPHA, CalibrationError, check_alpha, fit_thresholds, fixed_thresholds
 from .data import encode, encode_documents, load_jsonl, tokenize
-from .encoder import forward, init_params, load_pretrained_embeddings
+from .encoder import batched_logits, forward, init_params, load_pretrained_embeddings
 from .evaluation import ExperimentSpec, run_experiment
 from .head import class_probabilities, predict_open
 from .model_io import TrainedModel, load_model, save_model
@@ -150,7 +150,8 @@ def cmd_train(args) -> int:
 
     thresholds = None
     if args.calibrate:
-        thresholds = fit_thresholds(params, enc_split.train, args.alpha)
+        logits = batched_logits(params, enc_split.train.ids)
+        thresholds = fit_thresholds(logits, enc_split.train.labels, args.alpha)
     model = TrainedModel(
         params=params,
         vocab=vocab,
@@ -175,7 +176,8 @@ def cmd_calibrate(args) -> int:
             f"data contains classes unknown to the model: {sorted(labels - known)}"
         )
     encoded = encode_documents(docs, model.vocab, model.config.doc_len, model.class_names)
-    thresholds = fit_thresholds(model.params, encoded, args.alpha)
+    logits = batched_logits(model.params, encoded.ids)
+    thresholds = fit_thresholds(logits, encoded.labels, args.alpha)
     model.thresholds = thresholds
     save_model(args.model, model)
     print(f"{'class':<20} {'sigma':>10} {'t':>10}")

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .calibration import DEFAULT_ALPHA, ThresholdVector, check_alpha, fit_thresholds, fixed_thresholds
-from .data import Document, EncodedDocs
-from .encoder import ModelParams, batched_logits
-from .head import class_probabilities, predict_closed, predict_open
+from .data import Document
+from .encoder import batched_logits
+from .head import class_probabilities, predict_open
 from .trainer import HEAD_ONE_VS_REST, HEAD_SOFTMAX, ModelSpec, TrainConfig, train
 
 METHOD_DOC = "doc"
@@ -72,27 +72,27 @@ def macro_f1(cm: ConfusionMatrix) -> float:
     return float(np.mean(scores))
 
 
-def _gold(docs: EncodedDocs, m: int) -> np.ndarray:
-    """Gold indices with every unseen class collapsed into the reject index m."""
-    return np.where(docs.labels >= 0, docs.labels, m)
+def _gold(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gold indices of an (N, m) logit matrix's N labels, every unseen class
+    collapsed into the reject index m."""
+    if logits.ndim != 2 or labels.shape != (len(logits),):
+        raise ValueError(f"need an (N, m) logit matrix and N labels, got {logits.shape}, {labels.shape}")
+    return np.where(labels >= 0, labels, logits.shape[1])
 
 
-def evaluate(
-    params: ModelParams, thresholds: ThresholdVector, test_docs: EncodedDocs
-) -> ConfusionMatrix:
-    """Open-world predictions per test document, tallied into a confusion matrix."""
-    m = params.config.num_classes
-    probs = class_probabilities(batched_logits(params, test_docs.ids))
-    preds = [predict_open(row, thresholds) for row in probs]
-    labels = [m if p.is_reject else p.class_index for p in preds]
-    return ConfusionMatrix.from_pairs(_gold(test_docs, m), labels, m)
+def evaluate(logits, thresholds: ThresholdVector, labels) -> ConfusionMatrix:
+    """Open-world prediction for each row of an (N, m) logit matrix, tallied
+    against its label into a confusion matrix."""
+    logits, labels = np.asarray(logits), np.asarray(labels)
+    gold, m = _gold(logits, labels), logits.shape[1]
+    preds = [predict_open(row, thresholds) for row in class_probabilities(logits)]
+    return ConfusionMatrix.from_pairs(gold, [m if p.is_reject else p.class_index for p in preds], m)
 
 
-def evaluate_closed(params: ModelParams, test_docs: EncodedDocs) -> ConfusionMatrix:
-    """Forced-accept baseline: always predicts the argmax class, never rejects."""
-    m = params.config.num_classes
-    preds = [predict_closed(row) for row in batched_logits(params, test_docs.ids)]
-    return ConfusionMatrix.from_pairs(_gold(test_docs, m), preds, m)
+def evaluate_closed(logits, labels) -> ConfusionMatrix:
+    """Forced-accept baseline: each row's argmax class, ties to the lowest index; never rejects."""
+    logits, labels = np.asarray(logits), np.asarray(labels)
+    return ConfusionMatrix.from_pairs(_gold(logits, labels), logits.argmax(axis=1), logits.shape[1])
 
 
 @dataclass(frozen=True)
@@ -175,20 +175,21 @@ def run_single(
     train_seed = _derive_seed(spec.base_seed, fraction_index, rep, 1)
 
     enc_split, _, enc_cfg = spec.model.prepare(docs, fraction, split_seed)
+    train_docs, test_docs = enc_split.train, enc_split.test
 
     doc_cfg = replace(spec.train_config, seed=train_seed, head=HEAD_ONE_VS_REST)
     doc_params, _ = train(enc_split, enc_cfg, doc_cfg)
-    thresholds = fit_thresholds(doc_params, enc_split.train, spec.alpha)
-
     sm_cfg = replace(spec.train_config, seed=train_seed, head=HEAD_SOFTMAX)
     sm_params, _ = train(enc_split, enc_cfg, sm_cfg)
 
+    # one forward per (model, split); both DOC methods score the same test logits
+    thresholds = fit_thresholds(batched_logits(doc_params, train_docs.ids), train_docs.labels, spec.alpha)
+    doc_test = batched_logits(doc_params, test_docs.ids)
+    sm_test = batched_logits(sm_params, test_docs.ids)
     return {
-        METHOD_DOC: macro_f1(evaluate(doc_params, thresholds, enc_split.test)),
-        METHOD_DOC_T05: macro_f1(
-            evaluate(doc_params, fixed_thresholds(enc_cfg.num_classes), enc_split.test)
-        ),
-        METHOD_SOFTMAX: macro_f1(evaluate_closed(sm_params, enc_split.test)),
+        METHOD_DOC: macro_f1(evaluate(doc_test, thresholds, test_docs.labels)),
+        METHOD_DOC_T05: macro_f1(evaluate(doc_test, fixed_thresholds(enc_cfg.num_classes), test_docs.labels)),
+        METHOD_SOFTMAX: macro_f1(evaluate_closed(sm_test, test_docs.labels)),
     }
 
 

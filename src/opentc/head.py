@@ -116,10 +116,3 @@ def predict_open(probs, thresholds) -> OpenPrediction:
     idx = int(np.argmax(probs))
     return OpenPrediction(class_index=idx, probability=float(probs[idx]))
 
-
-def predict_closed(scores) -> int:
-    """Argmax class index, ties to the lowest index. Works on probs or logits."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("empty score vector")
-    return int(np.argmax(scores))

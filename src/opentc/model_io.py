@@ -9,9 +9,11 @@ order. Round trips are byte-identical, and a save replaces the file atomically.
 A version-1 file loads if its head is ``"one_vs_rest"`` (the only head a
 save writes) and its config, if it still carries ``relu_after_conv``, has it
 true; any other file describes a model this code no longer has and is
-refused. Any missing or mistyped header field, and any non-finite parameter,
-threshold or sigma, raises ``ModelFormatError``; a save refuses the same
-non-finite values before it writes anything.
+refused. Any missing or mistyped header field, any non-finite parameter,
+threshold or sigma, a threshold outside [0, 1], a negative sigma or alpha, a
+vocabulary with more ids than embedding rows and a repeated vocabulary token
+raise ``ModelFormatError``; a save refuses the same values before it writes
+anything.
 """
 
 from __future__ import annotations
@@ -72,13 +74,31 @@ def _require_finite(values, what: str) -> np.ndarray:
     return out
 
 
+def _check_thresholds(tv: ThresholdVector) -> None:
+    """Refuse a non-finite value, a threshold outside [0, 1] and a negative sigma or alpha."""
+    for name in ("t", "sigma", "alpha"):
+        _require_finite(getattr(tv, name), f"thresholds {name}")
+    if ((tv.t < 0) | (tv.t > 1)).any():
+        raise ModelFormatError("thresholds t must lie in [0, 1]")
+    if (tv.sigma < 0).any() or tv.alpha < 0:
+        raise ModelFormatError("thresholds sigma and alpha must be non-negative")
+
+
+def _check_vocab(vocab: Vocabulary, config: EncoderConfig) -> None:
+    """Refuse a vocabulary with more ids than embedding rows, or with a repeated token."""
+    if len(vocab) > config.vocab_size:
+        raise ModelFormatError(f"{len(vocab)} vocabulary ids exceed {config.vocab_size} embedding rows")
+    if len(set(vocab.tokens)) != len(vocab.tokens):
+        raise ModelFormatError("vocabulary repeats a token")
+
+
 def save_model(path, model: TrainedModel) -> None:
-    """Write ``model`` atomically; non-finite values are refused before any write."""
+    """Write ``model`` atomically, after the value, vocabulary and threshold checks of ``load_model``."""
     for t in model.params.all_tensors():
         _require_finite(t.data, "parameter blocks")
+    _check_vocab(model.vocab, model.config)
     if model.thresholds is not None:
-        for name in ("t", "sigma", "alpha"):
-            _require_finite(getattr(model.thresholds, name), f"thresholds {name}")
+        _check_thresholds(model.thresholds)
     header = {
         "config": model.config.to_dict(),
         "head": HEAD_ONE_VS_REST,
@@ -113,12 +133,15 @@ def _field(record, key: str, kind: type):
     return value
 
 
-def _finite_numbers(values, what: str, size: int) -> np.ndarray:
+def _numbers(values, what: str, size: int) -> np.ndarray:
     if not isinstance(values, list) or len(values) != size:
         raise ModelFormatError(f"{what} must be a list of {size} numbers")
     if not all(type(v) in (int, float) for v in values):
         raise ModelFormatError(f"{what} must be numbers")
-    return _require_finite(values, what)
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond float range
+        raise ModelFormatError(f"{what} must be finite") from exc
 
 
 def load_model(path) -> TrainedModel:
@@ -160,6 +183,8 @@ def load_model(path) -> TrainedModel:
         raise ModelFormatError("class name list does not match num_classes")
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ModelFormatError("vocabulary must be a list of strings")
+    vocab = Vocabulary(tokens)
+    _check_vocab(vocab, cfg)
 
     if "thresholds" not in header:
         raise ModelFormatError("model header field 'thresholds' is missing")
@@ -168,14 +193,15 @@ def load_model(path) -> TrainedModel:
         tb = _field(header, "thresholds", dict)
         m = cfg.num_classes
         thresholds = ThresholdVector(
-            t=_finite_numbers(tb.get("t"), "thresholds t", m),
-            alpha=float(_finite_numbers([tb.get("alpha")], "thresholds alpha", 1)[0]),
-            sigma=_finite_numbers(tb.get("sigma"), "thresholds sigma", m),
+            t=_numbers(tb.get("t"), "thresholds t", m),
+            alpha=float(_numbers([tb.get("alpha")], "thresholds alpha", 1)[0]),
+            sigma=_numbers(tb.get("sigma"), "thresholds sigma", m),
         )
+        _check_thresholds(thresholds)
 
     return TrainedModel(
         params=ModelParams.from_tensors(cfg, tensors),
-        vocab=Vocabulary(tokens),
+        vocab=vocab,
         class_names=class_names,
         thresholds=thresholds,
     )

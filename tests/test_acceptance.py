@@ -28,7 +28,7 @@ import pytest
 
 from opentc.calibration import fit_sigma, fit_thresholds, fixed_thresholds
 from opentc.data import build_vocab_from_split, encode_open_split, make_open_split
-from opentc.encoder import EncoderConfig, init_params, forward
+from opentc.encoder import EncoderConfig, batched_logits, init_params, forward
 from opentc.evaluation import (
     ConfusionMatrix,
     ExperimentSpec,
@@ -119,9 +119,10 @@ def test_criterion_2_calibration_oracle(capsys):
         ids=np.stack([rng.integers(0, 30, size=10) for _ in labels]),
         labels=np.array(labels, dtype=np.int64),
     )
+    logits = batched_logits(params, docs.ids)
     exact = True
     for alpha in (0.5, 3.0, 50.0):
-        tv = fit_thresholds(params, docs, alpha)
+        tv = fit_thresholds(logits, docs.labels, alpha)
         want = np.maximum(0.5, 1.0 - alpha * tv.sigma)
         exact = exact and np.array_equal(tv.t, want)
 
@@ -272,7 +273,7 @@ def test_criterion_8_closed_world_sanity(capsys, corpus):
             max_epochs=12, patience=3, batch_size=64, seed=0, head=head
         )
         params, _ = train(enc, cfg, train_cfg)
-        scores[head] = macro_f1(evaluate_closed(params, enc.test))
+        scores[head] = macro_f1(evaluate_closed(batched_logits(params, enc.test.ids), enc.test.labels))
     _report(
         capsys,
         "8",
@@ -298,9 +299,10 @@ def test_criterion_6_clamp_equivalence(capsys):
     )
     params, _ = train(enc, cfg, TrainConfig(max_epochs=5, seed=0))
 
-    huge_alpha = fit_thresholds(params, enc.train, alpha=1e9)
-    cm_alpha = evaluate(params, huge_alpha, enc.test)
-    cm_fixed = evaluate(params, fixed_thresholds(2, 0.5), enc.test)
+    huge_alpha = fit_thresholds(batched_logits(params, enc.train.ids), enc.train.labels, alpha=1e9)
+    test_logits = batched_logits(params, enc.test.ids)
+    cm_alpha = evaluate(test_logits, huge_alpha, enc.test.labels)
+    cm_fixed = evaluate(test_logits, fixed_thresholds(2, 0.5), enc.test.labels)
     identical = np.array_equal(cm_alpha.counts, cm_fixed.counts)
     clamped = np.array_equal(huge_alpha.t, np.full(2, 0.5))
     _report(capsys, "6", "alpha=1e9 calibration == t=0.5 override, identical matrices", identical and clamped)

@@ -12,7 +12,7 @@ from opentc.calibration import (
 )
 from opentc import encoder
 from opentc.data import EncodedDocs
-from opentc.encoder import EncoderConfig, init_params
+from opentc.encoder import EncoderConfig, batched_logits, init_params
 
 
 def oracle_sigma(points):
@@ -96,7 +96,7 @@ def test_fit_thresholds_matches_manual_computation():
         p = class_probabilities(forward(params, ids).data)
         per_class[label].append(float(p[label]))
 
-    tv = fit_thresholds(params, docs, alpha=3.0)
+    tv = fit_thresholds(batched_logits(params, docs.ids), docs.labels, alpha=3.0)
     for i in range(3):
         sig = oracle_sigma(per_class[i])
         assert abs(tv.sigma[i] - sig) < 1e-12
@@ -108,7 +108,7 @@ def test_fit_thresholds_floor_at_half():
     params = init_params(CFG, rng)
     docs = _make_docs(CFG, [0, 1, 2] * 4, rng)
     # a huge alpha drives every unclamped threshold below 0.5
-    tv = fit_thresholds(params, docs, alpha=1e9)
+    tv = fit_thresholds(batched_logits(params, docs.ids), docs.labels, alpha=1e9)
     np.testing.assert_array_equal(tv.t, np.full(3, 0.5))
 
 
@@ -116,8 +116,9 @@ def test_fit_thresholds_alpha_shrinks_thresholds():
     rng = np.random.default_rng(4)
     params = init_params(CFG, rng)
     docs = _make_docs(CFG, [0, 1, 2] * 10, rng)
-    t1 = fit_thresholds(params, docs, alpha=0.01).t
-    t2 = fit_thresholds(params, docs, alpha=0.5).t
+    logits = batched_logits(params, docs.ids)
+    t1 = fit_thresholds(logits, docs.labels, alpha=0.01).t
+    t2 = fit_thresholds(logits, docs.labels, alpha=0.5).t
     assert (t2 <= t1 + 1e-15).all()
 
 
@@ -126,34 +127,43 @@ def test_fit_thresholds_requires_every_class():
     params = init_params(CFG, rng)
     docs = _make_docs(CFG, [0, 1, 0, 1], rng)  # class 2 missing
     with pytest.raises(CalibrationError):
-        fit_thresholds(params, docs)
+        fit_thresholds(batched_logits(params, docs.ids), docs.labels)
 
 
 def test_fit_thresholds_rejects_unseen_labels():
     rng = np.random.default_rng(6)
     params = init_params(CFG, rng)
     docs = _make_docs(CFG, [0, 1, 2], rng)
-    docs = EncodedDocs(ids=docs.ids, labels=np.array([-1, 1, 2]))
     with pytest.raises(CalibrationError):
-        fit_thresholds(params, docs)
+        fit_thresholds(batched_logits(params, docs.ids), np.array([-1, 1, 2]))
 
 
 def test_fit_thresholds_rejects_bad_alpha():
     rng = np.random.default_rng(7)
     params = init_params(CFG, rng)
     docs = _make_docs(CFG, [0, 1, 2], rng)
+    logits = batched_logits(params, docs.ids)
     for alpha in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(CalibrationError):
-            fit_thresholds(params, docs, alpha=alpha)
+            fit_thresholds(logits, docs.labels, alpha=alpha)
 
 
-def test_fit_thresholds_does_not_modify_params():
+def test_fit_thresholds_does_not_modify_its_inputs():
     rng = np.random.default_rng(8)
-    params = init_params(CFG, rng)
-    before = [t.data.copy() for t in params.all_tensors()]
-    fit_thresholds(params, _make_docs(CFG, [0, 1, 2] * 3, rng))
-    for b, t in zip(before, params.all_tensors()):
-        assert np.array_equal(b, t.data)
+    logits, labels = rng.normal(size=(9, 3)), np.array([0, 1, 2] * 3)
+    before = logits.copy(), labels.copy()
+    fit_thresholds(logits, labels)
+    assert np.array_equal(before[0], logits) and np.array_equal(before[1], labels)
+
+
+@pytest.mark.parametrize(
+    "logit_shape, labels",
+    [((6,), [0, 1, 2, 0, 1, 2]), ((6, 3), [0, 1, 2, 0, 1]), ((6, 3), [[0, 1, 2, 0, 1, 2]]), ((2, 3, 3), [0, 1])],
+    ids=["1-d-logits", "short-labels", "2-d-labels", "3-d-logits"],
+)
+def test_fit_thresholds_refuses_mismatched_shapes(logit_shape, labels):
+    with pytest.raises(CalibrationError, match="logit matrix"):
+        fit_thresholds(np.zeros(logit_shape), labels)
 
 
 def test_fit_thresholds_batch_size_invariant(monkeypatch):
@@ -161,9 +171,9 @@ def test_fit_thresholds_batch_size_invariant(monkeypatch):
     params = init_params(CFG, rng)
     docs = _make_docs(CFG, [0, 1, 2] * 20, rng)
     monkeypatch.setattr(encoder, "INFERENCE_CHUNK", 7)
-    a = fit_thresholds(params, docs)
+    a = fit_thresholds(batched_logits(params, docs.ids), docs.labels)
     monkeypatch.setattr(encoder, "INFERENCE_CHUNK", 256)
-    b = fit_thresholds(params, docs)
+    b = fit_thresholds(batched_logits(params, docs.ids), docs.labels)
     np.testing.assert_allclose(a.t, b.t, atol=1e-15)
 
 
@@ -172,6 +182,7 @@ def test_fit_thresholds_survives_sigmoid_underflow():
     rng = np.random.default_rng(9)
     params = init_params(CFG, rng)
     params.b_out.data[:] = -800.0
-    tv = fit_thresholds(params, _make_docs(CFG, [0, 1, 2] * 4, rng))
+    docs = _make_docs(CFG, [0, 1, 2] * 4, rng)
+    tv = fit_thresholds(batched_logits(params, docs.ids), docs.labels)
     np.testing.assert_array_equal(tv.t, np.full(3, 0.5))
     assert np.isfinite(tv.sigma).all()

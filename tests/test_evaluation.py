@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from opentc import encoder, evaluation
 from opentc.calibration import CalibrationError, fixed_thresholds
 from opentc.data import EncodedDocs, build_vocab_from_split, make_open_split
-from opentc.encoder import EncoderConfig, init_params
+from opentc.encoder import EncoderConfig, batched_logits, init_params
 from opentc.evaluation import (
     ConfusionMatrix,
     ExperimentResult,
@@ -118,7 +120,7 @@ def test_evaluate_tallies_every_document():
     rng = np.random.default_rng(1)
     params = init_params(CFG, rng)
     docs = _docs(rng, [0, 1, -1, 0, -1])
-    cm = evaluate(params, fixed_thresholds(2), docs)
+    cm = evaluate(batched_logits(params, docs.ids), fixed_thresholds(2), docs.labels)
     assert cm.total == 5
     assert cm.counts[2, :].sum() == 2  # both unseen docs land in the reject row
     assert cm.counts.shape == (3, 3)
@@ -128,9 +130,30 @@ def test_evaluate_closed_never_rejects():
     rng = np.random.default_rng(2)
     params = init_params(CFG, rng)
     docs = _docs(rng, [0, 1, -1, -1])
-    cm = evaluate_closed(params, docs)
+    cm = evaluate_closed(batched_logits(params, docs.ids), docs.labels)
     assert cm.counts[:, 2].sum() == 0
     assert cm.total == 4
+
+
+def test_evaluate_closed_ties_go_to_the_lowest_index():
+    logits = np.array([[0.1, 0.9, 0.3], [2.0, 2.0, 1.0], [0.0, 5.0, 5.0], [-1.0, -1.0, -1.0]])
+    cm = evaluate_closed(logits, [1, 0, 1, -1])
+    # predictions 1, 0, 1, 0; the unseen gold label lands in the reject row
+    assert np.array_equal(cm.counts, ConfusionMatrix.from_pairs([1, 0, 1, 3], [1, 0, 1, 0], 3).counts)
+    with pytest.raises(ValueError):
+        evaluate_closed(np.empty((1, 0)), [0])
+
+
+@pytest.mark.parametrize(
+    "logit_shape, labels",
+    [((4,), [0, 1, 0, 1]), ((4, 2), [0, 1, 0]), ((4, 2), [[0, 1, 0, 1]]), ((2, 2, 2), [0, 1])],
+    ids=["1-d-logits", "short-labels", "2-d-labels", "3-d-logits"],
+)
+def test_scorers_refuse_mismatched_shapes(logit_shape, labels):
+    with pytest.raises(ValueError, match="logit matrix"):
+        evaluate(np.zeros(logit_shape), fixed_thresholds(2), labels)
+    with pytest.raises(ValueError, match="logit matrix"):
+        evaluate_closed(np.zeros(logit_shape), labels)
 
 
 def test_evaluate_batch_size_invariant(monkeypatch):
@@ -138,9 +161,9 @@ def test_evaluate_batch_size_invariant(monkeypatch):
     params = init_params(CFG, rng)
     docs = _docs(rng, [0, 1] * 15)
     monkeypatch.setattr(encoder, "INFERENCE_CHUNK", 4)
-    a = evaluate(params, fixed_thresholds(2), docs)
+    a = evaluate(batched_logits(params, docs.ids), fixed_thresholds(2), docs.labels)
     monkeypatch.setattr(encoder, "INFERENCE_CHUNK", 256)
-    b = evaluate(params, fixed_thresholds(2), docs)
+    b = evaluate(batched_logits(params, docs.ids), fixed_thresholds(2), docs.labels)
     assert np.array_equal(a.counts, b.counts)
 
 
@@ -183,6 +206,28 @@ def test_run_single_sizes_the_embedding_by_the_vocabulary(monkeypatch):
     for params in trained:
         assert params.config.vocab_size == vocab_len
         assert params.embedding.data.shape == (vocab_len, model.embed_dim)
+
+
+def test_run_single_forwards_each_model_and_split_once(monkeypatch):
+    docs = generate_synthetic_dataset(num_classes=4, docs_per_class=20, seed=0)
+    model = ModelSpec(vocab_size=200, doc_len=12, embed_dim=4, filter_widths=(2,), filters_per_width=3, hidden_dim=4)
+    spec = ExperimentSpec(
+        seen_fractions=(0.5,), repetitions=1, model=model, train_config=TrainConfig(max_epochs=2)
+    )
+    forwarded = []
+
+    def record(params, ids, tape=None):
+        # batched_logits looks forward up in the encoder module; training steps do not
+        state = b"".join(t.data.tobytes() for t in params.all_tensors())
+        forwarded.append((hashlib.sha256(state).digest(), ids.shape, hashlib.sha256(ids.tobytes()).digest()))
+        return real_forward(params, ids, tape)
+
+    real_forward = encoder.forward
+    monkeypatch.setattr(encoder, "forward", record)
+    run_single(spec, docs, 0.5, 0, 0)
+    # two validation losses per model, then DOC on train and test, softmax on test
+    assert len(forwarded) == 2 * 2 + 3
+    assert len(set(forwarded)) == len(forwarded)
 
 
 def test_derive_seed_is_deterministic_and_distinct():

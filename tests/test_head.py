@@ -5,7 +5,6 @@ from opentc.head import (
     OpenPrediction,
     class_probabilities,
     ovr_loss,
-    predict_closed,
     predict_open,
     softmax_loss,
 )
@@ -63,13 +62,6 @@ def test_predict_open_tie_goes_to_lowest_index():
 def test_predict_open_length_mismatch():
     with pytest.raises(ValueError):
         predict_open([0.5, 0.5], [0.5])
-
-
-def test_predict_closed():
-    assert predict_closed([0.1, 0.9, 0.3]) == 1
-    assert predict_closed([0.5, 0.5]) == 0
-    with pytest.raises(ValueError):
-        predict_closed([])
 
 
 def test_class_probabilities_matches_sigmoid():

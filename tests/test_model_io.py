@@ -254,3 +254,97 @@ def test_failed_save_leaves_old_file_untouched(tmp_path, monkeypatch):
         save_model(path, _model(seed=2))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.docm"]
+
+
+OUT_OF_RANGE = {
+    "t-above-1": {"t": [5.0, 5.0]},
+    "t-below-0": {"t": [-0.1, 0.5]},
+    "sigma-negative": {"sigma": [0.2, -0.05]},
+    "alpha-negative": {"alpha": -1.0},
+}
+
+
+def test_integer_beyond_float_range_rejected(tmp_path):
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    _rewrite_header(path, lambda h: h["thresholds"].update(alpha=10**400))
+    with pytest.raises(ModelFormatError, match="thresholds alpha must be finite"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("bad", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_out_of_range_thresholds_rejected(tmp_path, capsys, bad):
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    _rewrite_header(path, lambda h: h["thresholds"].update(bad))
+    with pytest.raises(ModelFormatError, match="thresholds"):
+        load_model(path)
+    docs = tmp_path / "docs.txt"
+    docs.write_text("tok1 tok2\n")
+    assert main(["predict", "--model", str(path), "--input", str(docs)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bad", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_save_refuses_out_of_range_thresholds(tmp_path, bad):
+    path = tmp_path / "m.docm"
+    save_model(path, _model(seed=1))
+    before = path.read_bytes()
+    model = _model()
+    model.thresholds = replace(model.thresholds, **bad)
+    with pytest.raises(ModelFormatError, match="thresholds"):
+        save_model(path, model)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.docm"]
+
+
+def test_fixed_thresholds_at_the_ends_of_the_range_round_trip(tmp_path):
+    path = tmp_path / "m.docm"
+    model = _model()
+    model.thresholds = ThresholdVector(t=[0.0, 1.0], alpha=0.0, sigma=[0.0, 0.0])
+    save_model(path, model)
+    np.testing.assert_array_equal(load_model(path).thresholds.t, [0.0, 1.0])
+
+
+def _rewrite_vocab(path, tokens):
+    """Replace the vocabulary section of a saved file, keeping the rest."""
+    raw = path.read_bytes()
+    start = 16 + struct.unpack("<Q", raw[8:16])[0]  # the header section ends here
+    (size,) = struct.unpack("<Q", raw[start : start + 8])
+    payload = json.dumps(tokens).encode("utf-8")
+    path.write_bytes(raw[:start] + struct.pack("<Q", len(payload)) + payload + raw[start + 8 + size :])
+
+
+BAD_VOCABS = {
+    "too-long": [f"tok{i}" for i in range(CFG.vocab_size - 1)],  # 11 tokens + PAD + UNK > 12 rows
+    "repeated-token": ["tok0", "tok1", "tok0"],
+}
+
+
+@pytest.mark.parametrize("tokens", BAD_VOCABS.values(), ids=BAD_VOCABS)
+def test_vocabulary_that_does_not_fit_the_embedding_exits_2(tmp_path, capsys, tokens):
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    _rewrite_vocab(path, tokens)
+    with pytest.raises(ModelFormatError, match="vocabulary"):
+        load_model(path)
+    docs = tmp_path / "docs.txt"
+    docs.write_text("tok1 tok2\ntok10 tok0\n")
+    assert main(["predict", "--model", str(path), "--input", str(docs), "--t", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "vocabulary" in captured.err
+
+
+@pytest.mark.parametrize("tokens", BAD_VOCABS.values(), ids=BAD_VOCABS)
+def test_save_refuses_a_vocabulary_that_does_not_fit(tmp_path, tokens):
+    path = tmp_path / "m.docm"
+    model = replace(_model(), vocab=Vocabulary(tokens))
+    with pytest.raises(ModelFormatError, match="vocabulary"):
+        save_model(path, model)
+    assert not path.exists()
+
+
+def test_vocabulary_smaller_than_the_embedding_loads(tmp_path):
+    path = tmp_path / "m.docm"
+    save_model(path, replace(_model(), vocab=Vocabulary(["tok0", "tok1"])))
+    assert load_model(path).vocab.tokens == ["tok0", "tok1"]
