@@ -17,7 +17,7 @@ from .data import encode, encode_documents, load_jsonl, tokenize
 from .encoder import batched_logits, forward, init_params, load_pretrained_embeddings
 from .evaluation import ExperimentSpec, run_experiment
 from .head import class_probabilities, predict_open
-from .model_io import TrainedModel, load_model, save_model
+from .model_io import MAGIC, VERSION, TrainedModel, load_model, save_model
 from .trainer import HEAD_ONE_VS_REST, ModelSpec, TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
@@ -242,6 +242,7 @@ def cmd_experiment(args) -> int:
 def cmd_inspect(args) -> int:
     model = load_model(args.model)
     cfg = model.config
+    print(f"format: {MAGIC.decode()} v{VERSION}")
     print(f"head: {HEAD_ONE_VS_REST}")
     print(f"classes ({cfg.num_classes}): {', '.join(model.class_names)}")
     print(f"vocab size: {len(model.vocab)}")
@@ -254,8 +255,8 @@ def cmd_inspect(args) -> int:
         print("thresholds: not fitted")
     else:
         print(f"thresholds (alpha={model.thresholds.alpha}):")
-        for name, t in zip(model.class_names, model.thresholds.t):
-            print(f"  {name}: {t:.6f}")
+        for name, t, sigma in zip(model.class_names, model.thresholds.t, model.thresholds.sigma):
+            print(f"  {name}: {t:.6f} (sigma={sigma:.6f})")
     return EXIT_OK
 
 

@@ -136,6 +136,13 @@ def forward(params: ModelParams, doc, tape: Tape | None = None) -> Tensor:
 
     Pure function of (params, doc); a fresh non-recording tape is used when
     none is supplied.
+
+    Only the columns up to the batch's last non-PAD id plus the widest filter
+    are convolved. Every window that starts past that id is all PAD in every
+    row, so all of them score the same (the bias, as the PAD row is zero);
+    the first one is kept, so the pooled maxima, their first-index argmax and
+    every gradient but the PAD row's, which is always zero, are those of the
+    full length.
     """
     cfg = params.config
     ids = np.asarray(doc, dtype=np.int64)
@@ -144,7 +151,10 @@ def forward(params: ModelParams, doc, tape: Tape | None = None) -> Tensor:
     if tape is None:
         tape = Tape(record=False)
 
-    x = embed_lookup(tape, ids, params.embedding)
+    used = (ids != PAD_ID).any(axis=tuple(range(ids.ndim - 1)))  # (L,) any row non-PAD
+    end = int(np.max(np.flatnonzero(used), initial=-1)) + 1  # 0 for an all-PAD batch
+    keep = min(cfg.doc_len, end + max(cfg.filter_widths))
+    x = embed_lookup(tape, ids[..., :keep], params.embedding)
     pooled = [
         conv_max_pool(tape, x, filt, bias)
         for filt, bias in zip(params.conv_filters, params.conv_biases)

@@ -11,8 +11,9 @@ save writes) and its config, if it still carries ``relu_after_conv``, has it
 true; any other file describes a model this code no longer has and is
 refused. Any missing or mistyped header field, any non-finite parameter,
 threshold or sigma, a threshold outside [0, 1], a negative sigma or alpha, a
-vocabulary with more ids than embedding rows and a repeated vocabulary token
-raise ``ModelFormatError``; a save refuses the same values before it writes
+vocabulary with more ids than embedding rows, a repeated vocabulary token and
+a section length that runs past the end of the file raise
+``ModelFormatError``; a save refuses the same values before it writes
 anything.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -61,6 +63,9 @@ def _read_section(fh) -> bytes:
     if len(raw) != 8:
         raise ModelFormatError("truncated model file")
     (size,) = struct.unpack("<Q", raw)
+    info = os.fstat(fh.fileno())  # read() allocates ``size`` bytes before it reads any
+    if stat.S_ISREG(info.st_mode) and size > info.st_size - fh.tell():
+        raise ModelFormatError("truncated model file")
     payload = fh.read(size)
     if len(payload) != size:
         raise ModelFormatError("truncated model file")

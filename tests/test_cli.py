@@ -7,6 +7,7 @@ from opentc.calibration import fit_thresholds
 from opentc.cli import _experiment_spec, _model_spec, _train_config, build_parser, main
 from opentc.data import Document, save_jsonl
 from opentc.evaluation import ExperimentSpec
+from opentc.model_io import load_model
 from opentc.synthetic import generate_synthetic_dataset
 from opentc.trainer import ModelSpec, TrainConfig
 
@@ -88,8 +89,6 @@ def test_calibrate_command_updates_model(dataset, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "sigma" in out and "class0" in out
-    from opentc.model_io import load_model
-
     loaded = load_model(model)
     assert loaded.thresholds is not None
     assert loaded.thresholds.alpha == 2.0
@@ -102,8 +101,12 @@ def test_inspect_command(dataset, tmp_path, capsys):
     rc = main(["inspect", "--model", model])
     assert rc == 0
     out = capsys.readouterr().out
+    assert "format: DOCM v1" in out.splitlines()
     assert "head: one_vs_rest" in out
     assert "class0" in out and "thresholds" in out
+    tv = load_model(model).thresholds
+    for name, t, sigma in zip(["class0", "class1", "class2"], tv.t, tv.sigma):
+        assert f"  {name}: {t:.6f} (sigma={sigma:.6f})" in out.splitlines()
 
 
 def test_experiment_command(dataset, tmp_path, capsys):

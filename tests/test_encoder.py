@@ -1,7 +1,9 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opentc.data import Vocabulary, encode_documents
 from opentc.encoder import (
@@ -20,11 +22,13 @@ from opentc.tensor import (
     Tensor,
     concat,
     conv1d_valid,
+    conv_max_pool,
     dense,
     embed_lookup,
     max_over_time,
     relu,
 )
+from opentc import encoder
 from opentc.trainer import ModelSpec
 
 
@@ -250,3 +254,109 @@ def test_params_copy_is_deep():
     dup = params.copy()
     dup.w_out.data += 1.0
     assert not np.array_equal(params.w_out.data, dup.w_out.data)
+
+
+def untrimmed_forward(params, ids, tape):
+    """The encoder's tape ops over all doc_len columns, PAD tail included."""
+    x = embed_lookup(tape, ids, params.embedding)
+    pooled = [conv_max_pool(tape, x, f, b) for f, b in zip(params.conv_filters, params.conv_biases)]
+    hidden = relu(tape, dense(tape, relu(tape, concat(tape, pooled)), params.w_hidden, params.b_hidden))
+    return dense(tape, hidden, params.w_out, params.b_out)
+
+
+def _post_padded(rng, lengths, cfg):
+    """One row per length: ids drawn from the whole vocabulary, PAD included, then PAD."""
+    ids = rng.integers(0, cfg.vocab_size, size=(len(lengths), cfg.doc_len))
+    ids[np.arange(cfg.doc_len) >= np.asarray(lengths)[:, None]] = PAD_ID
+    return ids
+
+
+def _with_pad_row(cfg, seed):
+    params = init_params(cfg, seed)
+    params.embedding.data[PAD_ID] = np.random.default_rng(seed).normal(size=cfg.embed_dim)
+    return params
+
+
+def _gradients(forward_fn, params, ids, upstream):
+    params = params.copy()
+    tape = Tape()
+    forward_fn(params, ids, tape).grad = upstream
+    for fn in reversed(tape._steps):
+        fn()
+    return [t.grad for t in params.all_tensors()]
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_trimmed_forward_matches_the_untrimmed_chain(data):
+    doc_len = data.draw(st.integers(4, 14), label="doc_len")
+    widths = data.draw(st.sets(st.integers(1, doc_len), min_size=1, max_size=3), label="widths")
+    if data.draw(st.booleans(), label="widest is doc_len"):
+        widths.add(doc_len)
+    cfg = replace(CFG, doc_len=doc_len, filter_widths=tuple(sorted(widths)))
+    lengths = data.draw(st.lists(st.integers(0, doc_len), min_size=1, max_size=8), label="lengths")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    params = _with_pad_row(cfg, seed)
+    ids = _post_padded(np.random.default_rng(seed), lengths, cfg)
+    want = untrimmed_forward(params, ids, Tape(record=False)).data
+    np.testing.assert_allclose(forward(params, ids).data, want, rtol=0, atol=1e-12)
+
+
+def test_trimmed_gradients_match_the_untrimmed_chain():
+    cfg = replace(CFG, doc_len=60, filter_widths=(3, 4, 5))
+    rng = np.random.default_rng(21)
+    params = _with_pad_row(cfg, 21)
+    ids = _post_padded(rng, rng.integers(3, 15, size=10), cfg)
+    upstream = rng.normal(size=(10, cfg.num_classes))
+    got = _gradients(forward, params, ids, upstream)
+    want = _gradients(untrimmed_forward, params, ids, upstream)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got[0][PAD_ID], 0.0)
+
+
+@pytest.fixture
+def lookup_shapes(monkeypatch):
+    """The shape of every id array the encoder passes to embed_lookup."""
+    shapes = []
+
+    def recording(tape, ids, table):
+        shapes.append(np.shape(ids))
+        return embed_lookup(tape, ids, table)
+
+    monkeypatch.setattr(encoder, "embed_lookup", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1], ids=lambda k: f"last-real-at-doc_len-wmax{k:+d}")
+def test_last_real_token_near_the_end_of_the_window(lookup_shapes, offset):
+    cfg = CFG  # widest filter 3 of 12 columns
+    last = cfg.doc_len - max(cfg.filter_widths) + offset
+    params = _with_pad_row(cfg, 22)
+    ids = _post_padded(np.random.default_rng(22), [3, last + 1], cfg)
+    ids[1, last] = 7  # a real token in the last real column
+    got = forward(params, ids).data
+    want = untrimmed_forward(params, ids, Tape(record=False)).data
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert lookup_shapes == [(2, min(cfg.doc_len, last + 1 + max(cfg.filter_widths)))]
+
+
+def test_all_pad_documents(lookup_shapes):
+    params = _with_pad_row(CFG, 23)
+    lone = np.zeros(CFG.doc_len, dtype=np.int64)
+    mixed = _post_padded(np.random.default_rng(23), [0, 5, 0], CFG)
+    mixed[1, 4] = 7
+    for ids in (lone, np.zeros((4, CFG.doc_len), dtype=np.int64), mixed):
+        want = untrimmed_forward(params, ids, Tape(record=False)).data
+        np.testing.assert_allclose(forward(params, ids).data, want, rtol=0, atol=1e-12)
+    assert lookup_shapes == [(3,), (4, 3), (3, 5 + 3)]
+
+
+def test_forward_convolves_only_up_to_the_last_real_token_plus_the_widest_filter(lookup_shapes):
+    cfg = replace(CFG, doc_len=200, filter_widths=(3, 4, 5))
+    rng = np.random.default_rng(24)
+    lengths = rng.integers(30, 61, size=64)
+    ids = _post_padded(rng, lengths, cfg)
+    ids[np.arange(64), lengths - 1] = 1  # every document ends in a real token
+    forward(init_params(cfg, 24), ids)
+    assert lookup_shapes == [(64, lengths.max() + 5)]

@@ -1,9 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opentc import model_io
 from opentc.calibration import ThresholdVector
@@ -87,9 +92,10 @@ def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "m.docm"
     save_model(path, _model())
     raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(ModelFormatError):
-        load_model(path)
+    for cut in range(len(raw)):  # every truncation, the empty file included
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ModelFormatError):
+            load_model(path)
 
 
 def test_trailing_garbage_rejected(tmp_path):
@@ -348,3 +354,51 @@ def test_vocabulary_smaller_than_the_embedding_loads(tmp_path):
     path = tmp_path / "m.docm"
     save_model(path, replace(_model(), vocab=Vocabulary(["tok0", "tok1"])))
     assert load_model(path).vocab.tokens == ["tok0", "tok1"]
+
+
+@pytest.mark.parametrize("size", [2**62, 2**63 + 5], ids=["2^62", "2^63+5"])
+def test_section_length_beyond_the_file_exits_2(tmp_path, capsys, size):
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    raw = path.read_bytes()
+    path.write_bytes(raw[:8] + struct.pack("<Q", size) + raw[16:])
+    with pytest.raises(ModelFormatError, match="truncated"):
+        load_model(path)
+    assert main(["inspect", "--model", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """The bytes of a small saved model, and a path to write altered copies to."""
+    path = tmp_path_factory.mktemp("saved") / "m.docm"
+    save_model(path, _model())
+    return path.read_bytes(), path.with_name("altered.docm")
+
+
+@settings(max_examples=500)
+@given(data=st.data())
+def test_any_byte_corruption_loads_or_raises_model_format_error(saved, data):
+    raw, path = saved
+    position = st.integers(0, len(raw) - 1)
+    edits = data.draw(st.lists(st.tuples(position, st.integers(1, 255)), min_size=1, max_size=4))
+    altered = bytearray(raw)
+    for at, mask in edits:
+        altered[at] ^= mask
+    path.write_bytes(bytes(altered))
+    try:
+        load_model(path)
+    except ModelFormatError:
+        pass  # a refusal is allowed; any other exception fails the test
+
+
+def test_model_read_from_a_pipe_loads(tmp_path):
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-m", "opentc.cli", "inspect", "--model", "/dev/stdin"],
+        input=path.read_bytes(), capture_output=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert b"classes (2): alpha, beta" in result.stdout
