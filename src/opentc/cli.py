@@ -83,7 +83,7 @@ def _experiment_spec(args) -> ExperimentSpec:
 
 def _check_output_paths(*paths) -> None:
     """Refuse, before any training, an output path that is a directory or lies in a missing one."""
-    for path in map(Path, filter(None, paths)):
+    for path in (Path(p) for p in paths if p is not None):  # None is an unset --report; "" is "."
         if not path.parent.is_dir():
             raise FileNotFoundError(f"output directory does not exist: {path.parent}")
         if path.is_dir():
@@ -141,7 +141,7 @@ def cmd_train(args) -> int:
     docs = load_jsonl(args.data)
     enc_split, vocab, cfg = _model_spec(args).prepare(docs, args.seen_fraction, args.seed)
     initial = None
-    if args.pretrained:
+    if args.pretrained is not None:
         initial = init_params(cfg, args.seed)
         with open(args.pretrained, "r", encoding="utf-8") as fh:
             n = load_pretrained_embeddings(initial, fh, vocab)

@@ -10,7 +10,7 @@ this is the same function as a ReLU on every convolution output.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
@@ -54,24 +54,6 @@ class EncoderConfig:
     @property
     def pooled_dim(self) -> int:
         return self.filters_per_width * len(self.filter_widths)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        """Inverse of ``to_dict``; every field must be present and integral.
-
-        Older files also carry ``relu_after_conv``, which must be true: this
-        encoder always applies ReLU after the convolution.
-        """
-        if d.get("relu_after_conv", True) is not True:
-            raise ValueError("models without ReLU after the convolution are not supported")
-        values = {f.name: d[f.name] for f in fields(cls)}
-        dims = [v for k, v in values.items() if k != "filter_widths"]
-        if not all(type(v) is int for v in dims + list(values["filter_widths"])):
-            raise TypeError("encoder dimensions must be integers")
-        return cls(**values)
 
 
 def param_shapes(config: EncoderConfig) -> list[tuple[int, ...]]:

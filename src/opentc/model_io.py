@@ -9,21 +9,23 @@ order. Round trips are byte-identical, and a save replaces the file atomically.
 A version-1 file loads if its head is ``"one_vs_rest"`` (the only head a
 save writes) and its config, if it still carries ``relu_after_conv``, has it
 true; any other file describes a model this code no longer has and is
-refused. Any missing or mistyped header field, any non-finite parameter,
-threshold or sigma, a threshold outside [0, 1], a negative sigma or alpha, a
-vocabulary with more ids than embedding rows, a repeated vocabulary token and
-a section length that runs past the end of the file raise
-``ModelFormatError``; a save refuses the same values before it writes
-anything.
+refused. Sections are read in bounded chunks from files and pipes alike, so
+a length that runs past the end of the stream raises ``ModelFormatError``
+before a buffer of that size exists, as does any missing or mistyped header
+field. ``_check_model`` holds every rule about values: parameter shapes that
+match the config and finite parameters, one string class name per class,
+distinct string tokens that fit the embedding, and per class a finite
+threshold in [0, 1] and sigma >= 0, with alpha >= 0. A load applies it to
+what it parsed and a save before it writes, so a save refuses what a load
+would.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import stat
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .trainer import HEAD_ONE_VS_REST
 
 MAGIC = b"DOCM"
 VERSION = 1
+READ_CHUNK = 1 << 20  # bytes per read() call while loading
 
 
 class ModelFormatError(ValueError):
@@ -58,29 +61,51 @@ def _write_section(fh, payload: bytes) -> None:
     fh.write(payload)
 
 
+def _read_exact(fh, n: int) -> bytes:
+    """Read exactly ``n`` bytes, ``READ_CHUNK`` at most per call, so that a
+    declared length never sizes a buffer before its bytes have arrived."""
+    chunks = []
+    while n > 0:
+        chunk = fh.read(min(n, READ_CHUNK))
+        if not chunk:
+            raise ModelFormatError("truncated model file")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
 def _read_section(fh) -> bytes:
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise ModelFormatError("truncated model file")
-    (size,) = struct.unpack("<Q", raw)
-    info = os.fstat(fh.fileno())  # read() allocates ``size`` bytes before it reads any
-    if stat.S_ISREG(info.st_mode) and size > info.st_size - fh.tell():
-        raise ModelFormatError("truncated model file")
-    payload = fh.read(size)
-    if len(payload) != size:
-        raise ModelFormatError("truncated model file")
-    return payload
+    (size,) = struct.unpack("<Q", _read_exact(fh, 8))
+    return _read_exact(fh, size)
 
 
-def _require_finite(values, what: str) -> np.ndarray:
-    out = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(out).all():
+def _require_finite(values, what: str) -> None:
+    if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
         raise ModelFormatError(f"{what} must be finite")
-    return out
 
 
-def _check_thresholds(tv: ThresholdVector) -> None:
-    """Refuse a non-finite value, a threshold outside [0, 1] and a negative sigma or alpha."""
+def _check_model(model: TrainedModel) -> None:
+    """Every rule about a model's values, shared by ``save_model`` and ``load_model``."""
+    cfg = model.config
+    tensors = model.params.all_tensors()
+    if [t.data.shape for t in tensors] != param_shapes(cfg):
+        raise ModelFormatError("parameter shapes do not match the encoder config")
+    for t in tensors:
+        _require_finite(t.data, "parameter blocks")
+    if len(model.class_names) != cfg.num_classes:
+        raise ModelFormatError("class name list does not match num_classes")
+    if not all(isinstance(c, str) for c in model.class_names):
+        raise ModelFormatError("class names must be strings")
+    tokens = model.vocab.tokens
+    if not all(isinstance(t, str) for t in tokens) or len(set(tokens)) != len(tokens):
+        raise ModelFormatError("vocabulary tokens must be distinct strings")
+    if len(model.vocab) > cfg.vocab_size:
+        raise ModelFormatError(f"{len(model.vocab)} vocabulary ids exceed {cfg.vocab_size} embedding rows")
+    tv = model.thresholds
+    if tv is None:
+        return
+    if tv.t.shape != (cfg.num_classes,) or tv.sigma.shape != (cfg.num_classes,):
+        raise ModelFormatError(f"thresholds t and sigma must hold {cfg.num_classes} values each")
     for name in ("t", "sigma", "alpha"):
         _require_finite(getattr(tv, name), f"thresholds {name}")
     if ((tv.t < 0) | (tv.t > 1)).any():
@@ -89,23 +114,11 @@ def _check_thresholds(tv: ThresholdVector) -> None:
         raise ModelFormatError("thresholds sigma and alpha must be non-negative")
 
 
-def _check_vocab(vocab: Vocabulary, config: EncoderConfig) -> None:
-    """Refuse a vocabulary with more ids than embedding rows, or with a repeated token."""
-    if len(vocab) > config.vocab_size:
-        raise ModelFormatError(f"{len(vocab)} vocabulary ids exceed {config.vocab_size} embedding rows")
-    if len(set(vocab.tokens)) != len(vocab.tokens):
-        raise ModelFormatError("vocabulary repeats a token")
-
-
 def save_model(path, model: TrainedModel) -> None:
-    """Write ``model`` atomically, after the value, vocabulary and threshold checks of ``load_model``."""
-    for t in model.params.all_tensors():
-        _require_finite(t.data, "parameter blocks")
-    _check_vocab(model.vocab, model.config)
-    if model.thresholds is not None:
-        _check_thresholds(model.thresholds)
+    """Write ``model`` atomically, after the checks that ``load_model`` applies."""
+    _check_model(model)
     header = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "head": HEAD_ONE_VS_REST,
         "class_names": list(model.class_names),
         "thresholds": None
@@ -138,11 +151,24 @@ def _field(record, key: str, kind: type):
     return value
 
 
-def _numbers(values, what: str, size: int) -> np.ndarray:
-    if not isinstance(values, list) or len(values) != size:
-        raise ModelFormatError(f"{what} must be a list of {size} numbers")
-    if not all(type(v) in (int, float) for v in values):
-        raise ModelFormatError(f"{what} must be numbers")
+def _config(record: dict) -> EncoderConfig:
+    """The header's encoder config; every field must be present and integral.
+
+    Older files also carry ``relu_after_conv``, which must be true: this
+    encoder always applies ReLU after the convolution.
+    """
+    if record.get("relu_after_conv", True) is not True:
+        raise ModelFormatError("models without ReLU after the convolution are not supported")
+    values = {f.name: record[f.name] for f in fields(EncoderConfig)}
+    dims = [v for k, v in values.items() if k != "filter_widths"]
+    if not all(type(v) is int for v in dims + list(values["filter_widths"])):
+        raise ModelFormatError("encoder dimensions must be integers")
+    return EncoderConfig(**values)
+
+
+def _numbers(values, what: str) -> np.ndarray:
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise ModelFormatError(f"{what} must be a list of numbers")
     try:
         return np.asarray(values, dtype=np.float64)
     except OverflowError as exc:  # an integer beyond float range
@@ -153,16 +179,13 @@ def load_model(path) -> TrainedModel:
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ModelFormatError("not a model file (bad magic)")
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise ModelFormatError("truncated model file")
-        (version,) = struct.unpack("<I", raw)
+        (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != VERSION:
             raise ModelFormatError(f"unsupported model file version {version}")
         try:
             header = json.loads(_read_section(fh).decode("utf-8"))
             tokens = json.loads(_read_section(fh).decode("utf-8"))
-            cfg = EncoderConfig.from_dict(_field(header, "config", dict))
+            cfg = _config(_field(header, "config", dict))
         except (KeyError, ValueError, TypeError) as exc:
             raise ModelFormatError(f"corrupt model header: {exc}") from exc
 
@@ -174,39 +197,29 @@ def load_model(path) -> TrainedModel:
                 raise ModelFormatError(
                     f"parameter block of {len(payload)} bytes, expected {expected}"
                 )
-            data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-            tensors.append(Tensor(_require_finite(data, "parameter blocks")))
+            tensors.append(Tensor(np.frombuffer(payload, dtype="<f8").reshape(shape).copy()))
         if fh.read(1):
             raise ModelFormatError("trailing bytes after model payload")
 
     if _field(header, "head", str) != HEAD_ONE_VS_REST:
         raise ModelFormatError(f"only {HEAD_ONE_VS_REST!r} models are supported")
-    class_names = _field(header, "class_names", list)
-    if not all(isinstance(c, str) for c in class_names):
-        raise ModelFormatError("class names must be strings")
-    if len(class_names) != cfg.num_classes:
-        raise ModelFormatError("class name list does not match num_classes")
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ModelFormatError("vocabulary must be a list of strings")
-    vocab = Vocabulary(tokens)
-    _check_vocab(vocab, cfg)
-
     if "thresholds" not in header:
         raise ModelFormatError("model header field 'thresholds' is missing")
     thresholds = None
     if header["thresholds"] is not None:
         tb = _field(header, "thresholds", dict)
-        m = cfg.num_classes
         thresholds = ThresholdVector(
-            t=_numbers(tb.get("t"), "thresholds t", m),
-            alpha=float(_numbers([tb.get("alpha")], "thresholds alpha", 1)[0]),
-            sigma=_numbers(tb.get("sigma"), "thresholds sigma", m),
+            t=_numbers(tb.get("t"), "thresholds t"),
+            alpha=float(_numbers([tb.get("alpha")], "thresholds alpha")[0]),
+            sigma=_numbers(tb.get("sigma"), "thresholds sigma"),
         )
-        _check_thresholds(thresholds)
-
-    return TrainedModel(
+    model = TrainedModel(
         params=ModelParams.from_tensors(cfg, tensors),
-        vocab=vocab,
-        class_names=class_names,
+        vocab=Vocabulary(tokens),
+        class_names=_field(header, "class_names", list),
         thresholds=thresholds,
     )
+    _check_model(model)
+    return model

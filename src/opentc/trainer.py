@@ -165,9 +165,6 @@ def train(
 
     report = TrainReport()
     best: ModelParams | None = None
-    best_val = np.inf
-    best_epoch = -1
-    since_improved = 0
 
     for epoch in range(cfg.max_epochs):
         perm = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_docs))
@@ -189,16 +186,11 @@ def train(
             raise TrainingDivergedError(epoch, -1)
         report.val_losses.append(val)
 
-        if val < best_val:
-            best_val = val
+        report.best_epoch = int(np.argmin(report.val_losses))  # the first of equal minima
+        if report.best_epoch == epoch:
             best = params.copy()
-            best_epoch = epoch
-            since_improved = 0
-        else:
-            since_improved += 1
-            if since_improved >= cfg.patience:
-                report.stopped_early = True
-                break
+        elif epoch - report.best_epoch >= cfg.patience:
+            report.stopped_early = True
+            break
 
-    report.best_epoch = best_epoch
     return best, report

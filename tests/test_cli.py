@@ -1,7 +1,12 @@
 import inspect
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opentc.calibration import fit_thresholds
 from opentc.cli import _experiment_spec, _model_spec, _train_config, build_parser, main
@@ -239,6 +244,10 @@ def test_train_calibrate_with_nan_alpha_writes_no_model(dataset, tmp_path, capsy
         ["train", "--out", "{tmp}/m.docm", "--filter-widths", "0"],
         ["train", "--out", "{tmp}/m.docm", "--filter-widths=-1"],
         ["experiment", "--filter-widths", "0,2"],
+        ["train", "--out", ""],
+        ["train", "--out", "{tmp}/m.docm", "--report", ""],
+        ["experiment", "--report", ""],
+        ["train", "--out", "{tmp}/m.docm", "--pretrained", ""],
     ],
     ids=[
         "train-out-dir-missing",
@@ -254,6 +263,10 @@ def test_train_calibrate_with_nan_alpha_writes_no_model(dataset, tmp_path, capsy
         "train-filter-width-0",
         "train-filter-width-negative",
         "experiment-filter-width-0",
+        "train-out-empty",
+        "train-report-empty",
+        "experiment-report-empty",
+        "train-pretrained-empty",
     ],
 )
 def test_bad_input_exits_2_before_training(argv, dataset, tmp_path, capsys, no_training):
@@ -309,3 +322,70 @@ def test_flag_defaults_are_the_dataclass_defaults():
     assert args.alpha == inspect.signature(fit_thresholds).parameters["alpha"].default
     args = parser.parse_args(["experiment", "--data", "d.jsonl"])
     assert _experiment_spec(args) == ExperimentSpec()
+
+
+TOY_FLAGS = [
+    "--embed-dim", "4",
+    "--doc-len", "8",
+    "--vocab-size", "40",
+    "--filter-widths", "2,3",
+    "--filters-per-width", "2",
+    "--hidden-dim", "4",
+    "--epochs", "1",
+    "--batch-size", "16",
+]
+
+# One valid command line per subcommand; the property test replaces one flag's value.
+VALID_ARGV = {
+    "train": [
+        "--data", "{data}", "--out", "{out}", "--report", "{report}", "--pretrained", "{vectors}",
+        "--calibrate", "--alpha", "2", "--seed", "0", "--seen-fraction", "1.0", *TOY_FLAGS,
+    ],
+    "calibrate": ["--model", "{model}", "--data", "{data}", "--alpha", "2"],
+    "predict": ["--model", "{model}", "--input", "{text}", "--t", "0.5"],
+    "experiment": [
+        "--data", "{data}", "--fractions", "1.0", "--reps", "1", "--seed", "0", "--alpha", "2",
+        "--report", "{report}", *TOY_FLAGS,
+    ],
+    "inspect": ["--model", "{model}"],
+}
+
+BAD_VALUES = ["nan", "inf", "-1", "0", "", "x", "3,,4", "1e309", "2,1"]
+BAD_PATHS = ["{dir}", "{missing}", "{noise}", "{data}", "{model}", "{text}"]  # the last three: a wrong kind
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(dataset, calibrated_model):
+    """The contents of every input file a command line of VALID_ARGV names."""
+    return {
+        "data": Path(dataset).read_bytes(),
+        "model": Path(calibrated_model).read_bytes(),
+        "text": b"cls0kw00 cls0kw01\nunrelated words\n",
+        "vectors": ("cls0kw00 " + " ".join(["0.1"] * 4) + "\n").encode(),
+        "noise": bytes(range(256)) * 4,
+    }
+
+
+@pytest.mark.parametrize("command", VALID_ARGV)
+@settings(max_examples=300)  # above every subcommand's flags x values, so every case runs
+@given(data=st.data())
+def test_any_bad_flag_value_exits_0_to_3(command, cli_inputs, data):
+    argv = VALID_ARGV[command]
+    valued = [i + 1 for i, a in enumerate(argv[:-1]) if a.startswith("--") and not argv[i + 1].startswith("--")]
+    at = data.draw(st.sampled_from(valued), label="value index")
+    bad = data.draw(st.sampled_from(BAD_VALUES + BAD_PATHS), label="bad value")
+    with tempfile.TemporaryDirectory() as tmp:  # fresh inputs: a bad value may name one as an output
+        paths = {name: str(Path(tmp, name)) for name in [*cli_inputs, "out", "report", "missing"]}
+        for name, content in cli_inputs.items():
+            Path(paths[name]).write_bytes(content)
+        paths["dir"] = tmp
+        line = [arg.format(**paths) for arg in [*argv[:at], bad, *argv[at + 1 :]]]
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a bad value may be a relative output path
+        try:
+            rc = main([command, *line])
+        except SystemExit as exc:  # argparse refuses a usage error this way
+            rc = exc.code
+        finally:
+            os.chdir(cwd)
+    assert rc in (0, 1, 2, 3)

@@ -207,11 +207,6 @@ def test_doc_shorter_than_widest_filter_rejected_at_config_time():
         )
 
 
-def test_config_round_trip():
-    d = CFG.to_dict()
-    assert EncoderConfig.from_dict(d) == CFG
-
-
 def test_load_pretrained_embeddings():
     vocab = Vocabulary(["apple", "banana"])  # ids 2 and 3
     lines = ["apple 1.0 2.0 3.0 4.0", "cherry 9 9 9 9"]

@@ -3,7 +3,7 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from opentc.calibration import ThresholdVector
 from opentc.cli import main
 from opentc.data import Vocabulary
 from opentc.encoder import EncoderConfig, init_params
+from opentc.tensor import Tensor
 from opentc.model_io import (
     MAGIC,
     ModelFormatError,
@@ -55,6 +56,17 @@ def test_round_trip_preserves_everything(tmp_path):
     np.testing.assert_array_equal(loaded.thresholds.t, model.thresholds.t)
     np.testing.assert_array_equal(loaded.thresholds.sigma, model.thresholds.sigma)
     assert loaded.thresholds.alpha == model.thresholds.alpha
+    for a, b in zip(loaded.params.all_tensors(), model.params.all_tensors()):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_sections_longer_than_a_read_chunk_round_trip(tmp_path, monkeypatch):
+    monkeypatch.setattr(model_io, "READ_CHUNK", 7)
+    path = tmp_path / "m.docm"
+    model = _model()
+    save_model(path, model)
+    loaded = load_model(path)
+    assert loaded.vocab.tokens == model.vocab.tokens
     for a, b in zip(loaded.params.all_tensors(), model.params.all_tensors()):
         assert np.array_equal(a.data, b.data)
 
@@ -142,6 +154,14 @@ def _rewrite_header(path, edit):
     edit(header)
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(path.read_bytes()[:8] + struct.pack("<Q", len(payload)) + payload + rest)
+
+
+def test_config_round_trip(tmp_path):
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    config = _header(path)[0]["config"]
+    assert config == json.loads(json.dumps(asdict(CFG)))
+    assert model_io._config(config) == CFG
 
 
 def test_older_header_with_relu_after_conv(tmp_path):
@@ -238,6 +258,27 @@ def test_save_refuses_non_finite_values(tmp_path, where):
         model.thresholds = replace(model.thresholds, **bad)
     with pytest.raises(ModelFormatError):
         save_model(path, model)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.docm"]
+
+
+UNLOADABLE = {
+    "one-class-name": lambda m: replace(m, class_names=["alpha"]),
+    "non-string-class-name": lambda m: replace(m, class_names=["alpha", 2]),
+    "b_out-shape": lambda m: replace(m, params=replace(m.params, b_out=Tensor(np.zeros(3)))),
+    "three-thresholds-for-two-classes": lambda m: replace(
+        m, thresholds=ThresholdVector(t=[0.5, 0.6, 0.7], alpha=3.0, sigma=[0.1, 0.1, 0.1])
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", UNLOADABLE.values(), ids=UNLOADABLE)
+def test_save_refuses_a_model_that_load_would_refuse(tmp_path, edit):
+    path = tmp_path / "m.docm"
+    save_model(path, _model(seed=1))
+    before = path.read_bytes()
+    with pytest.raises(ModelFormatError):
+        save_model(path, edit(_model()))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.docm"]
 
@@ -392,13 +433,27 @@ def test_any_byte_corruption_loads_or_raises_model_format_error(saved, data):
         pass  # a refusal is allowed; any other exception fails the test
 
 
+def _inspect_piped(raw: bytes) -> subprocess.CompletedProcess:
+    """Run ``opentc inspect`` on ``raw`` fed through a pipe."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "opentc.cli", "inspect", "--model", "/dev/stdin"],
+        input=raw, capture_output=True, env=env, timeout=60,
+    )
+
+
 def test_model_read_from_a_pipe_loads(tmp_path):
     path = tmp_path / "m.docm"
     save_model(path, _model())
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    result = subprocess.run(
-        [sys.executable, "-m", "opentc.cli", "inspect", "--model", "/dev/stdin"],
-        input=path.read_bytes(), capture_output=True, env=env, timeout=60,
-    )
+    result = _inspect_piped(path.read_bytes())
     assert result.returncode == 0, result.stderr
     assert b"classes (2): alpha, beta" in result.stdout
+
+
+def test_piped_section_length_beyond_the_stream_exits_2(tmp_path):
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    raw = path.read_bytes()
+    result = _inspect_piped(raw[:8] + struct.pack("<Q", 2**62) + raw[16:])
+    assert result.returncode == 2, result.stderr
+    assert b"truncated model file" in result.stderr and b"Traceback" not in result.stderr
