@@ -1,7 +1,7 @@
 """Command-line surface: train / calibrate / predict / experiment / inspect.
 
-Exit codes: 0 success, 1 usage error, 2 data or format error, 3 numerical
-failure (training divergence).
+Exit codes: 0 success, 1 usage error, 2 data or format error (a size too
+large to allocate included), 3 numerical failure (training divergence).
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .calibration import DEFAULT_ALPHA, CalibrationError, check_alpha, fit_thresholds, fixed_thresholds
@@ -66,7 +66,6 @@ def _train_config(args) -> TrainConfig:
         max_epochs=args.epochs,
         learning_rate=args.lr,
         patience=args.patience,
-        seed=args.seed,
     )
 
 
@@ -137,7 +136,7 @@ def cmd_train(args) -> int:
     _check_output_paths(args.out, args.report)
     if args.calibrate:
         check_alpha(args.alpha)
-    train_config = _train_config(args)
+    train_config = replace(_train_config(args), seed=args.seed)
     docs = load_jsonl(args.data)
     enc_split, vocab, cfg = _model_spec(args).prepare(docs, args.seen_fraction, args.seed)
     initial = None
@@ -278,6 +277,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # every format error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # a size from a flag or a model header too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

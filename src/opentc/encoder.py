@@ -17,7 +17,7 @@ import numpy as np
 
 from .tensor import PAD_ID, Tape, Tensor, concat, conv_max_pool, dense, embed_lookup, relu
 
-INFERENCE_CHUNK = 256  # documents per forward call in batched_logits
+INFERENCE_CHUNK = 64  # documents per forward call in batched_logits, the training batch size
 
 
 class EmbeddingFormatError(ValueError):

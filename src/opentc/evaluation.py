@@ -98,7 +98,10 @@ def evaluate_closed(logits, labels) -> ConfusionMatrix:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """The sweep: per seen fraction, ``repetitions`` runs, each preparing its
-    own split with ``model`` and training under ``train_config``."""
+    own split with ``model`` and training under ``train_config``.
+
+    Each run trains both heads with a seed derived from ``base_seed``, so a
+    ``train_config`` whose ``seed`` or ``head`` is set is refused."""
 
     seen_fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
     repetitions: int = 10
@@ -116,6 +119,9 @@ class ExperimentSpec:
         if len(set(self.seen_fractions)) != len(self.seen_fractions):
             raise ValueError(f"seen fractions must be distinct, got {list(self.seen_fractions)}")
         check_alpha(self.alpha)
+        for name in ("seed", "head"):
+            if getattr(self.train_config, name) != getattr(TrainConfig, name):
+                raise ValueError(f"train_config.{name} is set per run; leave it at its default")
 
 
 @dataclass

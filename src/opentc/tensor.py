@@ -159,31 +159,37 @@ def conv_max_pool(tape: Tape, x: Tensor, filters: Tensor, bias: Tensor) -> Tenso
     """``max_over_time(conv1d_valid(x, filters, bias))`` in one op.
 
     ``x`` is (..., L, e), ``filters`` is (F, w, e), ``bias`` is (F,); output
-    is (..., F). The forward values are bit-identical to the two-op chain and
-    ties go to the first time step. Only the pooled values and their time
-    indices are kept, and the backward pass works on the winning windows
-    alone: one per document and filter.
+    is (..., F). The bias goes on after pooling, onto the F pooled values:
+    rounding is monotone, so ``max(c) + b == max(c + b)`` bit for bit and the
+    forward values are bit-identical to the two-op chain. Ties go to the first
+    time step. Only the pooled values and their time indices are kept, and the
+    backward pass works on the winning windows alone (one per document and
+    filter), one window row at a time, so its temporaries are (N, F, e) rather
+    than (N, F, w*e).
     """
     num_filters, width, edim = filters.shape
     win, flat_filters = _conv_windows(x, filters, bias)
     conv = win @ flat_filters.T  # (..., T, F)
     del win  # the backward pass reads the winning windows from x
-    conv += bias.data
     idx = np.argmax(conv, axis=-2)  # first maximizing time step per filter
-    out = Tensor(np.take_along_axis(conv, idx[..., None, :], axis=-2).squeeze(-2))
+    out = Tensor(np.take_along_axis(conv, idx[..., None, :], axis=-2).squeeze(-2) + bias.data)
 
     def back() -> None:
         if out.grad is None:
             return
         g = out.grad.reshape(-1, num_filters)  # (N, F)
-        docs = np.arange(len(g))[:, None]
-        # Winning window (n, f) is w*e consecutive entries of C-ordered x.
-        starts = (docs * x.shape[-2] + idx.reshape(g.shape)) * edim
-        flat = starts[..., None] + np.arange(width * edim)  # (N, F, w*e)
-        windows = x.data.reshape(-1)[flat]
-        filters.accumulate(np.einsum("nf,nfk->fk", g, windows).reshape(filters.shape))
+        # Row j of winning window (n, f) is row n*L + idx[n, f] + j of x as (N*L, e).
+        rows = np.arange(len(g))[:, None] * x.shape[-2] + idx.reshape(g.shape)
+        x_rows = x.data.reshape(-1, edim)
+        d_filters = np.empty(filters.shape)
+        dx = np.zeros(x.data.size)
+        for j in range(width):
+            row = rows + j
+            d_filters[:, j] = np.einsum("nf,nfe->fe", g, x_rows[row])
+            flat = row[..., None] * edim + np.arange(edim)  # (N, F, e)
+            dx += _scatter_add(flat, g[..., None] * filters.data[:, j], dx.size)
+        filters.accumulate(d_filters)
         bias.accumulate(g.sum(axis=0))
-        dx = _scatter_add(flat, g[..., None] * flat_filters, x.data.size)
         x.accumulate(dx.reshape(x.shape))
 
     tape.push(back)

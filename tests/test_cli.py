@@ -322,6 +322,30 @@ def test_flag_defaults_are_the_dataclass_defaults():
     assert args.alpha == inspect.signature(fit_thresholds).parameters["alpha"].default
     args = parser.parse_args(["experiment", "--data", "d.jsonl"])
     assert _experiment_spec(args) == ExperimentSpec()
+    args = parser.parse_args(["experiment", "--data", "d.jsonl", "--seed", "5"])
+    assert _experiment_spec(args) == ExperimentSpec(base_seed=5)
+
+
+def test_train_seed_reaches_the_train_config(dataset, tmp_path, monkeypatch):
+    configs = []
+
+    def stop(split, enc_cfg, config, initial_params=None):
+        configs.append(config)
+        raise ValueError("stopped before training")
+
+    monkeypatch.setattr("opentc.cli.train", stop)
+    assert main(["train", "--data", dataset, "--out", str(tmp_path / "m.docm"), "--seed", "7", *FAST_FLAGS]) == 2
+    assert configs == [TrainConfig(batch_size=32, max_epochs=3, seed=7)]
+
+
+@pytest.mark.parametrize("flag", ["--doc-len", "--embed-dim", "--filters-per-width", "--hidden-dim"])
+def test_size_too_large_to_allocate_exits_2(flag, dataset, tmp_path, capsys):
+    # 1e11 entries fail at once, before any allocation, on any machine
+    argv = ["train", "--data", dataset, "--out", str(tmp_path / "m.docm"), *FAST_FLAGS, flag, str(10**11)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: out of memory" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 TOY_FLAGS = [

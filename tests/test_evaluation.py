@@ -181,6 +181,15 @@ def test_experiment_spec_validation():
     assert spec.seen_fractions == (0.5,)
 
 
+@pytest.mark.parametrize(
+    "config", [TrainConfig(seed=123), TrainConfig(head="softmax")], ids=["seed", "head"]
+)
+def test_experiment_spec_refuses_a_train_config_seed_or_head(config):
+    # run_single trains both heads with a seed derived from base_seed
+    with pytest.raises(ValueError, match="set per run"):
+        ExperimentSpec(train_config=config)
+
+
 def test_run_single_sizes_the_embedding_by_the_vocabulary(monkeypatch):
     docs = generate_synthetic_dataset(num_classes=3, docs_per_class=20, seed=0)
     model = ModelSpec(

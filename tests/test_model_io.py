@@ -196,6 +196,19 @@ def test_head_other_than_one_vs_rest_exits_2(tmp_path, capsys):
     assert captured.out == "" and "one_vs_rest" in captured.err
 
 
+def test_header_doc_len_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # no parameter shape depends on doc_len, so the file loads; predict then
+    # needs a 1e11-entry id row, which fails at once without allocating
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    _rewrite_header(path, lambda h: h["config"].update(doc_len=10**11))
+    docs = tmp_path / "docs.txt"
+    docs.write_text("tok1 tok2\n")
+    assert main(["predict", "--model", str(path), "--input", str(docs), "--t", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: out of memory" in captured.err
+
+
 @pytest.mark.parametrize("key", ["config", "head", "class_names", "thresholds"])
 def test_missing_header_key_exits_2(tmp_path, key):
     path = tmp_path / "m.docm"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,52 @@ def test_conv_max_pool_matches_reference(shape):
     _assert_fused_matches_reference(
         rng.normal(size=shape), rng.normal(size=(6, 3, 4)), rng.normal(size=6)
     )
+
+
+@pytest.mark.parametrize(
+    "shape, width", [((5, 9, 4), 1), ((5, 6, 4), 6)], ids=["width-1", "width-equals-length"]
+)
+def test_conv_max_pool_matches_reference_at_the_extreme_widths(shape, width):
+    rng = np.random.default_rng(22)
+    _assert_fused_matches_reference(
+        rng.normal(size=shape), rng.normal(size=(6, width, 4)), rng.normal(size=6)
+    )
+
+
+def test_conv_max_pool_overlapping_winning_windows():
+    # One large token under positive filters: every filter's winning window
+    # covers it, at offsets that differ between filters, so the gradient at
+    # that token sums terms from several filters and several window rows.
+    rng = np.random.default_rng(25)
+    x = 0.1 * rng.normal(size=(2, 12, 4))
+    x[:, 6] += 5.0
+    filters, bias = rng.uniform(0.5, 1.5, size=(16, 4, 4)), rng.normal(size=16)
+    conv = conv1d_valid(Tape(record=False), Tensor(x), Tensor(filters), Tensor(bias))
+    starts = np.argmax(conv.data, axis=-2)
+    offsets = 6 - starts  # the window row that holds the large token
+    assert ((offsets >= 0) & (offsets < 4)).all()
+    assert all(len(set(doc)) >= 3 for doc in offsets)
+    _assert_fused_matches_reference(x, filters, bias)
+
+
+def test_conv_max_pool_backward_temporaries_are_bounded():
+    # The paper's widest filter at the training shape. (N, F, e) temporaries
+    # peak at about 3.6 times x's 5.1 MB; a single (N, F, w*e) index, window
+    # or weight array would be 19 MB here.
+    rng = np.random.default_rng(26)
+    x = Tensor(rng.normal(size=(64, 200, 50)))
+    filters, bias = Tensor(rng.normal(size=(150, 5, 50))), Tensor(rng.normal(size=150))
+    tape = Tape()
+    out = conv_max_pool(tape, x, filters, bias)
+    out.grad = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tape._steps[0]()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * x.data.nbytes
 
 
 def test_conv_max_pool_ties_go_to_first_index():
