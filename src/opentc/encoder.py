@@ -4,7 +4,10 @@ seen class.
 
 Each width's convolution and max-over-time pooling run as one fused op, and
 the ReLU follows the pooling: ``relu(max(c)) == max(relu(c))`` exactly, so
-this is the same function as a ReLU on every convolution output.
+this is the same function as a ReLU on every convolution output. A forward
+embeds each distinct id of its batch once and the fused op convolves each
+distinct token once, so the convolution's work follows the number of
+distinct ids in a batch, not its documents times their length.
 """
 
 from __future__ import annotations
@@ -125,6 +128,10 @@ def forward(params: ModelParams, doc, tape: Tape | None = None) -> Tensor:
     the first one is kept, so the pooled maxima, their first-index argmax and
     every gradient but the PAD row's, which is always zero, are those of the
     full length.
+
+    The embedding is looked up once per distinct id of the kept columns, and
+    each width convolves those rows through an index per position, so the
+    cost of a forward follows the batch's distinct ids, not N*T.
     """
     cfg = params.config
     ids = np.asarray(doc, dtype=np.int64)
@@ -136,9 +143,11 @@ def forward(params: ModelParams, doc, tape: Tape | None = None) -> Tensor:
     used = (ids != PAD_ID).any(axis=tuple(range(ids.ndim - 1)))  # (L,) any row non-PAD
     end = int(np.max(np.flatnonzero(used), initial=-1)) + 1  # 0 for an all-PAD batch
     keep = min(cfg.doc_len, end + max(cfg.filter_widths))
-    x = embed_lookup(tape, ids[..., :keep], params.embedding)
+    uniq, inv = np.unique(ids[..., :keep], return_inverse=True)
+    inv = inv.reshape(*ids.shape[:-1], keep)  # numpy versions disagree on its shape
+    rows = embed_lookup(tape, uniq, params.embedding)
     pooled = [
-        conv_max_pool(tape, x, filt, bias)
+        conv_max_pool(tape, inv, rows, filt, bias)
         for filt, bias in zip(params.conv_filters, params.conv_biases)
     ]
     h = relu(tape, concat(tape, pooled))

@@ -3,10 +3,13 @@
 Only the handful of operations the classifier architecture needs are
 implemented: embedding lookup, the fused valid 1-D convolution plus
 max-over-time pooling that the encoder runs, dense layers, ReLU and
-concatenation. Valid 1-D convolution and max-over-time pooling also exist as
-separate ops, the plain reference the fused op is tested against. All ops
-accept an optional leading batch dimension. Gradients are recorded on an
-explicit ``Tape`` and replayed in exact reverse execution order.
+concatenation. The fused op reads its input as a table of distinct token
+rows plus an index per position, so its work follows the distinct tokens in
+a batch, not its N*T windows. Valid 1-D convolution and max-over-time
+pooling also exist as separate ops, the plain reference the fused op is
+tested against. All ops accept an optional leading batch dimension.
+Gradients are recorded on an explicit ``Tape`` and replayed in exact reverse
+execution order.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 PAD_ID = 0
 
@@ -103,94 +105,105 @@ def _scatter_add(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarra
     return np.bincount(index.reshape(-1), weights=weights.reshape(-1), minlength=size)
 
 
-def _conv_windows(x: Tensor, filters: Tensor, bias: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """im2col of a valid 1-D convolution.
-
-    Returns the windows (..., T, w*e), where window t is rows t..t+w-1 of
-    ``x`` flattened in C order, and the filters flattened to (F, w*e).
-    """
+def _check_conv(length: int, edim: int, filters: Tensor, bias: Tensor) -> int:
+    """Number of valid windows T = L-w+1 of a convolution of (..., L, e) inputs."""
     num_filters, width, fdim = filters.shape
-    length, edim = x.shape[-2], x.shape[-1]
     if fdim != edim:
         raise ValueError(f"filter dim {fdim} != input dim {edim}")
     if bias.shape != (num_filters,):
         raise ValueError("bias shape must be (num_filters,)")
     if length < width:
         raise ValueError(f"input length {length} < filter width {width}")
-
-    win = sliding_window_view(x.data, width, axis=-2)  # (..., T, e, w)
-    win = np.ascontiguousarray(np.swapaxes(win, -1, -2)).reshape(
-        *x.shape[:-2], length - width + 1, width * edim
-    )
-    return win, filters.data.reshape(num_filters, width * edim)
+    return length - width + 1
 
 
 def conv1d_valid(tape: Tape, x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     """Valid (no padding) 1-D convolution over the time axis.
 
     ``x`` is (..., L, e), ``filters`` is (F, w, e), ``bias`` is (F,);
-    output is (..., L-w+1, F).
+    output is (..., L-w+1, F). It is computed one window row j at a time,
+    ``sum_j x[..., j:j+T, :] @ filters[:, j].T``, in the order ``conv_max_pool``
+    sums its per-token responses.
     """
     num_filters, width, edim = filters.shape
-    win, flat_filters = _conv_windows(x, filters, bias)
-    steps = win.shape[-2]
-    out = Tensor(win @ flat_filters.T + bias.data)
+    steps = _check_conv(x.shape[-2], x.shape[-1], filters, bias)
+    conv = x.data[..., :steps, :] @ filters.data[:, 0].T
+    for j in range(1, width):
+        conv += x.data[..., j : j + steps, :] @ filters.data[:, j].T
+    out = Tensor(conv + bias.data)
 
     def back() -> None:
         if out.grad is None:
             return
         g = out.grad  # (..., T, F)
-        d_win = (g @ flat_filters).reshape(*g.shape[:-1], width, edim)
-        dx = np.zeros_like(x.data)
-        for j in range(width):
-            dx[..., j : j + steps, :] += d_win[..., j, :]
-        x.accumulate(dx)
         g2 = g.reshape(-1, num_filters)
-        filters.accumulate(
-            (g2.T @ win.reshape(-1, width * edim)).reshape(filters.shape)
-        )
+        dx = np.zeros_like(x.data)
+        d_filters = np.empty(filters.shape)
+        for j in range(width):
+            dx[..., j : j + steps, :] += g @ filters.data[:, j]
+            d_filters[:, j] = g2.T @ x.data[..., j : j + steps, :].reshape(-1, edim)
+        x.accumulate(dx)
+        filters.accumulate(d_filters)
         bias.accumulate(g2.sum(axis=0))
 
     tape.push(back)
     return out
 
 
-def conv_max_pool(tape: Tape, x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
-    """``max_over_time(conv1d_valid(x, filters, bias))`` in one op.
+def conv_max_pool(tape: Tape, inv, rows: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
+    """``max_over_time(conv1d_valid(rows[inv], filters, bias))`` in one op.
 
-    ``x`` is (..., L, e), ``filters`` is (F, w, e), ``bias`` is (F,); output
-    is (..., F). The bias goes on after pooling, onto the F pooled values:
-    rounding is monotone, so ``max(c) + b == max(c + b)`` bit for bit and the
-    forward values are bit-identical to the two-op chain. Ties go to the first
-    time step. Only the pooled values and their time indices are kept, and the
-    backward pass works on the winning windows alone (one per document and
-    filter), one window row at a time, so its temporaries are (N, F, e) rather
-    than (N, F, w*e).
+    ``rows`` is (U, e), one row per distinct token; ``inv`` is (..., L) and
+    indexes it, so the input is ``x = rows[inv]``, which is never built.
+    ``filters`` is (F, w, e), ``bias`` is (F,); output is (..., F).
+
+    The cost follows the U distinct tokens, not the N*T windows. The forward
+    takes each token's response to each filter row, ``q[j] = rows @
+    filters[:, j].T`` (U*w*F dot products), then, one document at a time,
+    sums ``q[j][inv[j:j+T]]`` over j, in ``conv1d_valid``'s order, takes the
+    first maximizing time step per filter and adds the bias to the pooled
+    values: rounding is monotone, so ``max(c) + b == max(c + b)`` bit for
+    bit. Windows that hold the same tokens score exactly the same. The
+    backward scatters the pooled gradient to the tokens of the winning
+    windows, one window row at a time, into a (U, F) table per row. Work and
+    memory grow with U*w*F: at U == N*L (every token distinct) the (w, U, F)
+    responses outweigh an im2col of x.
     """
-    num_filters, width, edim = filters.shape
-    win, flat_filters = _conv_windows(x, filters, bias)
-    conv = win @ flat_filters.T  # (..., T, F)
-    del win  # the backward pass reads the winning windows from x
-    idx = np.argmax(conv, axis=-2)  # first maximizing time step per filter
-    out = Tensor(np.take_along_axis(conv, idx[..., None, :], axis=-2).squeeze(-2) + bias.data)
+    inv = np.asarray(inv, dtype=np.int64)
+    num_filters, width, _ = filters.shape
+    num_rows = rows.shape[0]
+    steps = _check_conv(inv.shape[-1], rows.shape[-1], filters, bias)
+    if inv.size and (inv.min() < 0 or inv.max() >= num_rows):
+        raise ValueError(f"row index out of range [0, {num_rows})")
+    docs = inv.reshape(-1, inv.shape[-1])  # (N, L)
+    q = rows.data @ filters.data.transpose(1, 2, 0)  # (w, U, F): q[j] = rows @ filters[:, j].T
+    cols = np.arange(num_filters)
+    idx = np.empty((len(docs), num_filters), dtype=np.int64)
+    pooled = np.empty((len(docs), num_filters))
+    for n, doc in enumerate(docs):
+        conv = q[0][doc[:steps]]  # (T, F)
+        for j in range(1, width):
+            conv += q[j][doc[j : j + steps]]
+        idx[n] = np.argmax(conv, axis=0)  # first maximizing time step per filter
+        pooled[n] = conv[idx[n], cols]
+    out = Tensor((pooled + bias.data).reshape(*inv.shape[:-1], num_filters))
 
     def back() -> None:
         if out.grad is None:
             return
         g = out.grad.reshape(-1, num_filters)  # (N, F)
-        # Row j of winning window (n, f) is row n*L + idx[n, f] + j of x as (N*L, e).
-        rows = np.arange(len(g))[:, None] * x.shape[-2] + idx.reshape(g.shape)
-        x_rows = x.data.reshape(-1, edim)
         d_filters = np.empty(filters.shape)
-        dx = np.zeros(x.data.size)
+        d_rows = np.zeros(rows.shape)
         for j in range(width):
-            row = rows + j
-            d_filters[:, j] = np.einsum("nf,nfe->fe", g, x_rows[row])
-            flat = row[..., None] * edim + np.arange(edim)  # (N, F, e)
-            dx += _scatter_add(flat, g[..., None] * filters.data[:, j], dx.size)
+            # dq[u, f] sums g[n, f] over the windows (n, f) whose row j is token u
+            token = np.take_along_axis(docs, idx + j, axis=1)  # (N, F)
+            dq = _scatter_add(token * num_filters + cols, g, num_rows * num_filters)
+            dq = dq.reshape(num_rows, num_filters)
+            d_filters[:, j] = dq.T @ rows.data
+            d_rows += dq @ filters.data[:, j]
         filters.accumulate(d_filters)
         bias.accumulate(g.sum(axis=0))
-        x.accumulate(dx.reshape(x.shape))
+        rows.accumulate(d_rows)
 
     tape.push(back)
     return out

@@ -253,8 +253,9 @@ def test_params_copy_is_deep():
 
 def untrimmed_forward(params, ids, tape):
     """The encoder's tape ops over all doc_len columns, PAD tail included."""
-    x = embed_lookup(tape, ids, params.embedding)
-    pooled = [conv_max_pool(tape, x, f, b) for f, b in zip(params.conv_filters, params.conv_biases)]
+    uniq, inv = np.unique(ids, return_inverse=True)
+    inv, rows = inv.reshape(np.shape(ids)), embed_lookup(tape, uniq, params.embedding)
+    pooled = [conv_max_pool(tape, inv, rows, f, b) for f, b in zip(params.conv_filters, params.conv_biases)]
     hidden = relu(tape, dense(tape, relu(tape, concat(tape, pooled)), params.w_hidden, params.b_hidden))
     return dense(tape, hidden, params.w_out, params.b_out)
 
@@ -311,20 +312,25 @@ def test_trimmed_gradients_match_the_untrimmed_chain():
 
 
 @pytest.fixture
-def lookup_shapes(monkeypatch):
-    """The shape of every id array the encoder passes to embed_lookup."""
+def conv_shapes(monkeypatch):
+    """The shape of the token index array of each forward, as the encoder
+    passes it to conv_max_pool once per filter width."""
     shapes = []
 
-    def recording(tape, ids, table):
-        shapes.append(np.shape(ids))
-        return embed_lookup(tape, ids, table)
+    def recording(tape, inv, rows, filters, bias):
+        shapes.append(np.shape(inv))
+        return conv_max_pool(tape, inv, rows, filters, bias)
 
-    monkeypatch.setattr(encoder, "embed_lookup", recording)
+    monkeypatch.setattr(encoder, "conv_max_pool", recording)
     return shapes
 
 
+def _per_width(shapes, cfg):
+    return [shape for shape in shapes for _ in cfg.filter_widths]
+
+
 @pytest.mark.parametrize("offset", [-2, -1, 0, 1], ids=lambda k: f"last-real-at-doc_len-wmax{k:+d}")
-def test_last_real_token_near_the_end_of_the_window(lookup_shapes, offset):
+def test_last_real_token_near_the_end_of_the_window(conv_shapes, offset):
     cfg = CFG  # widest filter 3 of 12 columns
     last = cfg.doc_len - max(cfg.filter_widths) + offset
     params = _with_pad_row(cfg, 22)
@@ -333,10 +339,10 @@ def test_last_real_token_near_the_end_of_the_window(lookup_shapes, offset):
     got = forward(params, ids).data
     want = untrimmed_forward(params, ids, Tape(record=False)).data
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    assert lookup_shapes == [(2, min(cfg.doc_len, last + 1 + max(cfg.filter_widths)))]
+    assert conv_shapes == _per_width([(2, min(cfg.doc_len, last + 1 + max(cfg.filter_widths)))], cfg)
 
 
-def test_all_pad_documents(lookup_shapes):
+def test_all_pad_documents(conv_shapes):
     params = _with_pad_row(CFG, 23)
     lone = np.zeros(CFG.doc_len, dtype=np.int64)
     mixed = _post_padded(np.random.default_rng(23), [0, 5, 0], CFG)
@@ -344,14 +350,30 @@ def test_all_pad_documents(lookup_shapes):
     for ids in (lone, np.zeros((4, CFG.doc_len), dtype=np.int64), mixed):
         want = untrimmed_forward(params, ids, Tape(record=False)).data
         np.testing.assert_allclose(forward(params, ids).data, want, rtol=0, atol=1e-12)
-    assert lookup_shapes == [(3,), (4, 3), (3, 5 + 3)]
+    assert conv_shapes == _per_width([(3,), (4, 3), (3, 5 + 3)], CFG)
 
 
-def test_forward_convolves_only_up_to_the_last_real_token_plus_the_widest_filter(lookup_shapes):
+def test_forward_convolves_only_up_to_the_last_real_token_plus_the_widest_filter(conv_shapes):
     cfg = replace(CFG, doc_len=200, filter_widths=(3, 4, 5))
     rng = np.random.default_rng(24)
     lengths = rng.integers(30, 61, size=64)
     ids = _post_padded(rng, lengths, cfg)
     ids[np.arange(64), lengths - 1] = 1  # every document ends in a real token
     forward(init_params(cfg, 24), ids)
-    assert lookup_shapes == [(64, lengths.max() + 5)]
+    assert conv_shapes == _per_width([(64, lengths.max() + 5)], cfg)
+
+
+def test_forward_embeds_each_distinct_id_of_the_kept_columns_once(monkeypatch):
+    looked_up = []
+
+    def recording(tape, ids, table):
+        looked_up.append(np.asarray(ids))
+        return embed_lookup(tape, ids, table)
+
+    monkeypatch.setattr(encoder, "embed_lookup", recording)
+    rng = np.random.default_rng(25)
+    ids = _post_padded(rng, [4, 6, 2], CFG)
+    ids[1, 5] = 7  # the last real column, so 6 + 3 (the widest filter) are kept
+    forward(init_params(CFG, 25), ids)
+    assert len(looked_up) == 1
+    np.testing.assert_array_equal(looked_up[0], np.unique(ids[:, :9]))

@@ -213,30 +213,42 @@ def test_randomized_composite_gradients(seed):
     assert grad_check(build, [table, filters, bias, wd, bd]) < 1e-4
 
 
-def _assert_fused_matches_reference(x, filters, bias, relu_after=False):
-    """``conv_max_pool`` against the reference chain
-    ``max_over_time(conv1d_valid)`` for one random upstream gradient: equal
-    forward values, (x, filters, bias) gradients within 1e-12. With
-    ``relu_after`` the fused op is followed by a ReLU and the reference
-    applies it to every convolution output. Returns the fused op's values
-    and gradients."""
+def _per_position(x):
+    """(ids, table) with ``table[ids] == x`` for an (..., L, e) array: each
+    of the N*L positions gets its own id (U == N*L) after a zero PAD row, so
+    row i+1 of the table's gradient is the gradient at position i."""
+    edim = x.shape[-1]
+    table = np.vstack([np.zeros((1, edim)), x.reshape(-1, edim)])
+    return np.arange(1, len(table)).reshape(x.shape[:-1]), table
+
+
+def _assert_fused_matches_reference(ids, table, filters, bias, relu_after=False):
+    """``conv_max_pool`` over the distinct ids, as the encoder calls it,
+    against the reference chain ``embed_lookup -> conv1d_valid ->
+    max_over_time`` for one random upstream gradient: forward values and
+    (table, filters, bias) gradients within 1e-12; a different winning time
+    step would move a gradient by far more. With ``relu_after`` the fused op
+    is followed by a ReLU and the reference applies it to every convolution
+    output. Returns the fused op's values and gradients."""
     results = []
     for fused in (True, False):
-        params = [Tensor(x), Tensor(filters), Tensor(bias)]
+        params = [Tensor(table), Tensor(filters), Tensor(bias)]
         tape = Tape()
         if fused:
-            out = conv_max_pool(tape, *params)
+            uniq, inv = np.unique(ids, return_inverse=True)
+            rows = embed_lookup(tape, uniq, params[0])
+            out = conv_max_pool(tape, inv.reshape(np.shape(ids)), rows, *params[1:])
             out = relu(tape, out) if relu_after else out
         else:
-            c = conv1d_valid(tape, *params)
+            c = conv1d_valid(tape, embed_lookup(tape, ids, params[0]), *params[1:])
             out = max_over_time(tape, relu(tape, c) if relu_after else c)
         out.grad = np.random.default_rng(0).normal(size=out.shape)
         for fn in reversed(tape._steps):
             fn()
         results.append((out.data, [p.grad for p in params]))
     (fused, fused_grads), (ref, ref_grads) = results
-    assert fused.shape == ref.shape == x.shape[:-2] + filters.shape[:1]
-    assert np.array_equal(fused, ref)
+    assert fused.shape == ref.shape == np.shape(ids)[:-1] + filters.shape[:1]
+    np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
     for got, want in zip(fused_grads, ref_grads):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     return fused, fused_grads
@@ -248,7 +260,7 @@ def _assert_fused_matches_reference(x, filters, bias, relu_after=False):
 def test_conv_max_pool_matches_reference(shape):
     rng = np.random.default_rng(21)  # filter width 3: the (5, 3, 4) input has L == w, T == 1
     _assert_fused_matches_reference(
-        rng.normal(size=shape), rng.normal(size=(6, 3, 4)), rng.normal(size=6)
+        *_per_position(rng.normal(size=shape)), rng.normal(size=(6, 3, 4)), rng.normal(size=6)
     )
 
 
@@ -258,7 +270,7 @@ def test_conv_max_pool_matches_reference(shape):
 def test_conv_max_pool_matches_reference_at_the_extreme_widths(shape, width):
     rng = np.random.default_rng(22)
     _assert_fused_matches_reference(
-        rng.normal(size=shape), rng.normal(size=(6, width, 4)), rng.normal(size=6)
+        *_per_position(rng.normal(size=shape)), rng.normal(size=(6, width, 4)), rng.normal(size=6)
     )
 
 
@@ -275,18 +287,66 @@ def test_conv_max_pool_overlapping_winning_windows():
     offsets = 6 - starts  # the window row that holds the large token
     assert ((offsets >= 0) & (offsets < 4)).all()
     assert all(len(set(doc)) >= 3 for doc in offsets)
-    _assert_fused_matches_reference(x, filters, bias)
+    _assert_fused_matches_reference(*_per_position(x), filters, bias)
+
+
+@pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "past-the-rows"])
+def test_conv_max_pool_refuses_out_of_range_row_index(bad):
+    inv = np.array([[0, 1, 2, 1], [2, 0, bad, 1]])
+    with pytest.raises(ValueError, match="row index out of range"):
+        conv_max_pool(Tape(), inv, Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros(2)))
+
+
+def test_conv_max_pool_single_distinct_token():
+    # U == 1: every window of every document holds the same token, so all tie.
+    rng = np.random.default_rng(27)
+    _assert_fused_matches_reference(
+        np.full((3, 8), 2), rng.normal(size=(4, 3)), rng.normal(size=(5, 3, 3)), rng.normal(size=5)
+    )
+
+
+def test_conv_max_pool_every_id_distinct():
+    # U == N*L, with the distinct ids in no particular order
+    rng = np.random.default_rng(28)
+    ids = rng.permutation(np.arange(1, 5 * 9 + 1)).reshape(5, 9)
+    _assert_fused_matches_reference(
+        ids, rng.normal(size=(5 * 9 + 1, 4)), rng.normal(size=(6, 3, 4)), rng.normal(size=6)
+    )
+
+
+def test_conv_max_pool_repeated_ngram_ties_exactly():
+    # A 3-gram of large tokens occurs twice in every document and wins under
+    # positive filters. Both occurrences sum the same per-token responses in
+    # the same order, so they tie exactly and the first one is the maximum.
+    # Which copy wins moves no gradient, as both windows hold the same tokens.
+    rng = np.random.default_rng(29)
+    table = 0.1 * rng.normal(size=(12, 4))
+    table[9:] += 3.0
+    ids = rng.integers(1, 9, size=(4, 16))
+    ids[:, 2:5] = ids[:, 10:13] = [9, 10, 11]
+    filters, bias = rng.uniform(0.5, 1.5, size=(6, 3, 4)), rng.normal(size=6)
+    fused, _ = _assert_fused_matches_reference(ids, table, filters, bias)
+    tape = Tape(record=False)
+    conv = conv1d_valid(tape, embed_lookup(tape, ids, Tensor(table)), Tensor(filters), Tensor(bias)).data
+    assert np.array_equal(conv[:, 2], conv[:, 10])
+    assert (np.argmax(conv, axis=-2) == 2).all()
+    assert np.array_equal(fused, conv[:, 2])
 
 
 def test_conv_max_pool_backward_temporaries_are_bounded():
-    # The paper's widest filter at the training shape. (N, F, e) temporaries
-    # peak at about 3.6 times x's 5.1 MB; a single (N, F, w*e) index, window
-    # or weight array would be 19 MB here.
+    # The paper's widest filter at the training shape, with ids drawn
+    # uniformly from the default 5,000-id vocabulary cap: U is about 4,600,
+    # the densest batch the default ModelSpec allows. Work and memory grow
+    # with U*w*F, not N*T: the backward's (U, F) tables peak at about 2.6
+    # times the 5.1 MB that x = rows[inv] would take. At U == N*L, every
+    # token distinct, the forward's (w, U, F) responses would peak near
+    # 77 MB and the backward near 36 MB.
     rng = np.random.default_rng(26)
-    x = Tensor(rng.normal(size=(64, 200, 50)))
+    uniq, inv = np.unique(rng.integers(0, 5000, size=(64, 200)), return_inverse=True)
+    rows = Tensor(rng.normal(size=(len(uniq), 50)))
     filters, bias = Tensor(rng.normal(size=(150, 5, 50))), Tensor(rng.normal(size=150))
     tape = Tape()
-    out = conv_max_pool(tape, x, filters, bias)
+    out = conv_max_pool(tape, inv.reshape(64, 200), rows, filters, bias)
     out.grad = rng.normal(size=out.shape)
     tracemalloc.start()
     try:
@@ -295,29 +355,32 @@ def test_conv_max_pool_backward_temporaries_are_bounded():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * x.data.nbytes
+    assert peak <= 4 * 64 * 200 * 50 * 8
 
 
 def test_conv_max_pool_ties_go_to_first_index():
     rng = np.random.default_rng(23)
     constant = np.tile(rng.normal(size=3), (3, 8, 1))  # every window of a document is equal
-    _assert_fused_matches_reference(constant, rng.normal(size=(4, 2, 3)), rng.normal(size=4))
+    _assert_fused_matches_reference(
+        *_per_position(constant), rng.normal(size=(4, 2, 3)), rng.normal(size=4)
+    )
 
     # Negative tokens under positive filters score below the bias; every window
     # of the all-PAD (zero) tail scores exactly the bias, so the tail ties.
     x = np.zeros((2, 10, 3))
     x[:, :4] = -rng.uniform(0.5, 1.0, size=(2, 4, 3))
     filters = rng.uniform(0.5, 1.0, size=(4, 3, 3))
-    fused, grads = _assert_fused_matches_reference(x, filters, np.ones(4))
+    fused, grads = _assert_fused_matches_reference(*_per_position(x), filters, np.ones(4))
     np.testing.assert_array_equal(fused, np.ones((2, 4)))
-    assert np.count_nonzero(grads[0][:, 7:]) == 0  # only the first tail window (t=4) won
+    x_grad = grads[0][1:].reshape(x.shape)
+    assert np.count_nonzero(x_grad[:, 7:]) == 0  # only the first tail window (t=4) won
 
 
 def test_conv_max_pool_non_positive_maxima_pass_no_gradient_through_relu():
     rng = np.random.default_rng(24)
     x, filters = rng.normal(size=(3, 8, 4)), rng.normal(size=(5, 2, 4))
     bias = np.full(5, -100.0)  # every convolution output, hence every maximum, is negative
-    _, grads = _assert_fused_matches_reference(x, filters, bias, relu_after=True)
+    _, grads = _assert_fused_matches_reference(*_per_position(x), filters, bias, relu_after=True)
     for g in grads:
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -329,6 +392,7 @@ def test_fused_composite_gradients(seed):
     table = Tensor(rng.normal(size=(6, e)))
     table.data[0] = 0.0
     ids = rng.integers(1, 6, size=(B, L))  # avoid PAD: its gradient is pinned to zero
+    uniq, inv = np.unique(ids, return_inverse=True)
     filters = Tensor(rng.normal(size=(F, w, e)))
     bias = Tensor(rng.normal(size=F))
     wd = Tensor(rng.normal(size=(2, F)))
@@ -336,8 +400,8 @@ def test_fused_composite_gradients(seed):
     labels = rng.integers(0, 2, size=B)
 
     def build(tape):  # the encoder's order: pool first, then ReLU
-        x = embed_lookup(tape, ids, table)
-        p = relu(tape, conv_max_pool(tape, x, filters, bias))
+        rows = embed_lookup(tape, uniq, table)
+        p = relu(tape, conv_max_pool(tape, inv.reshape(B, L), rows, filters, bias))
         return ovr_loss(tape, dense(tape, p, wd, bd), labels)
 
     assert grad_check(build, [table, filters, bias, wd, bd]) < 1e-4
