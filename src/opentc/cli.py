@@ -10,11 +10,14 @@ import argparse
 import json
 import sys
 from dataclasses import fields, replace
+from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from .calibration import DEFAULT_ALPHA, CalibrationError, check_alpha, fit_thresholds, fixed_thresholds
 from .data import encode, encode_documents, load_jsonl, tokenize
-from .encoder import batched_logits, forward, init_params, load_pretrained_embeddings
+from .encoder import INFERENCE_CHUNK, batched_logits, init_params, load_pretrained_embeddings
 from .evaluation import ExperimentSpec, run_experiment
 from .head import class_probabilities, predict_open
 from .model_io import MAGIC, VERSION, TrainedModel, load_model, save_model
@@ -195,34 +198,28 @@ def cmd_predict(args) -> int:
         raise CalibrationError(
             "model has no fitted thresholds; calibrate first or pass --t"
         )
-    stream = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8")
-    try:
-        for line in stream:
-            text = line.rstrip("\n")
-            ids = encode(tokenize(text), model.vocab, model.config.doc_len)
-            probs = class_probabilities(forward(model.params, ids).data)
-            pred = predict_open(probs, thresholds)
-            name = "REJECT" if pred.is_reject else model.class_names[pred.class_index]
-            top = float(probs.max())
-            if args.format == "json":
-                print(
-                    json.dumps(
-                        {
-                            "prediction": name,
-                            "probability": top,
-                            "probs": {
-                                c: float(p) for c, p in zip(model.class_names, probs)
-                            },
-                        },
-                        sort_keys=True,
-                    )
-                )
-            else:
-                cols = [name, f"{top:.6f}"] + [f"{p:.6f}" for p in probs]
-                print("\t".join(cols))
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+    names = model.class_names
+    # one strict UTF-8 reader for a file and for stdin alike
+    source = sys.stdin.fileno() if args.input == "-" else args.input
+    with open(source, "r", encoding="utf-8", closefd=args.input != "-") as stream:
+        while chunk := list(islice(stream, INFERENCE_CHUNK)):
+            ids = np.stack([encode(tokenize(line.rstrip("\n")), model.vocab, model.config.doc_len) for line in chunk])
+            probs = class_probabilities(batched_logits(model.params, ids))
+            for row, margins in zip(probs, probs - thresholds.t):
+                pred = predict_open(row, thresholds)
+                name = "REJECT" if pred.is_reject else names[pred.class_index]
+                top = float(row.max())
+                if args.format == "json":
+                    record = {
+                        "prediction": name,
+                        "probability": top,
+                        "probs": {c: float(p) for c, p in zip(names, row)},
+                        "margins": {c: float(d) for c, d in zip(names, margins)},
+                    }
+                    print(json.dumps(record, sort_keys=True))
+                else:
+                    print("\t".join([name, f"{top:.6f}"] + [f"{p:.6f}" for p in row]))
+            sys.stdout.flush()  # piped output streams chunk by chunk
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .tensor import PAD_ID, Tape, Tensor, concat, conv_max_pool, dense, embed_lookup, relu
 
-INFERENCE_CHUNK = 64  # documents per forward call in batched_logits, the training batch size
+INFERENCE_CHUNK = 32  # documents per inference forward: batched_logits and each predict chunk
 
 
 class EmbeddingFormatError(ValueError):

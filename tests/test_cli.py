@@ -1,17 +1,23 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opentc.calibration import fit_thresholds
 from opentc.cli import _experiment_spec, _model_spec, _train_config, build_parser, main
-from opentc.data import Document, save_jsonl
+from opentc.data import Document, encode, load_jsonl, save_jsonl, tokenize
+from opentc.encoder import INFERENCE_CHUNK, forward
 from opentc.evaluation import ExperimentSpec
+from opentc.head import class_probabilities, predict_open
 from opentc.model_io import load_model
 from opentc.synthetic import generate_synthetic_dataset
 from opentc.trainer import ModelSpec, TrainConfig
@@ -60,9 +66,10 @@ def test_train_with_calibrate_then_predict_json(dataset, tmp_path, capsys):
     rc = main(["predict", "--model", model, "--input", str(inp)])
     assert rc == 0
     rec = json.loads(capsys.readouterr().out.strip())
-    assert set(rec) == {"prediction", "probability", "probs"}
+    assert set(rec) == {"prediction", "probability", "probs", "margins"}
     assert rec["prediction"] in {"class0", "class1", "class2", "REJECT"}
     assert set(rec["probs"]) == {"class0", "class1", "class2"}
+    assert set(rec["margins"]) == {"class0", "class1", "class2"}
 
 
 def test_predict_tsv_format_and_t_override(dataset, tmp_path, capsys):
@@ -207,6 +214,95 @@ def test_predict_threshold_outside_unit_interval_exit_code(calibrated_model, tmp
     assert main(["predict", "--model", calibrated_model, "--input", str(inp), "--t", t]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err
+
+
+def _predict_lines(model, inp, capsys, *extra):
+    assert main(["predict", "--model", model, "--input", str(inp), *extra]) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+@pytest.mark.parametrize("t", [None, "0", "1"], ids=["fitted", "t-0", "t-1"])
+def test_predict_json_margins_explain_a_reject(dataset, calibrated_model, tmp_path, capsys, t):
+    inp = tmp_path / "docs.txt"
+    texts = [d.text for d in load_jsonl(dataset)[::4]] + ["unrelated gibberish words"]
+    inp.write_text("".join(text + "\n" for text in texts))
+    records = _predict_lines(calibrated_model, inp, capsys, *([] if t is None else ["--t", t]))
+    model = load_model(calibrated_model)
+    thresholds = model.thresholds.t if t is None else np.full(3, float(t))
+    for rec in records:
+        margins = [rec["margins"][c] for c in model.class_names]
+        assert margins == [rec["probs"][c] - ti for c, ti in zip(model.class_names, thresholds)]
+        assert (rec["prediction"] == "REJECT") == all(d < 0 for d in margins)
+    if t is not None:  # every probability lies in (0, 1)
+        assert {rec["prediction"] == "REJECT" for rec in records} == {t == "1"}
+
+
+def test_predict_chunks_agree_with_one_document_forwards(dataset, calibrated_model, tmp_path, capsys):
+    texts = [d.text for d in load_jsonl(dataset)[: 2 * INFERENCE_CHUNK + 4]]
+    texts.insert(INFERENCE_CHUNK + 3, "")  # an empty line is a document of PAD only
+    inp = tmp_path / "docs.txt"
+    inp.write_text("\n".join(texts), encoding="utf-8")  # no newline after the last line
+    records = _predict_lines(calibrated_model, inp, capsys)
+    assert len(records) == len(texts) == 2 * INFERENCE_CHUNK + 5
+    model = load_model(calibrated_model)
+    for rec, text in zip(records, texts):
+        ids = encode(tokenize(text), model.vocab, model.config.doc_len)
+        probs = class_probabilities(forward(model.params, ids).data)
+        pred = predict_open(probs, model.thresholds)
+        assert rec["prediction"] == ("REJECT" if pred.is_reject else model.class_names[pred.class_index])
+        got = [rec["probs"][c] for c in model.class_names]
+        np.testing.assert_allclose(got, probs, rtol=0, atol=1e-12)
+
+
+def test_predict_empty_input_prints_nothing(calibrated_model, tmp_path, capsys):
+    inp = tmp_path / "empty.txt"
+    inp.write_text("")
+    assert _predict_lines(calibrated_model, inp, capsys) == []
+
+
+def _predict_in_subprocess(model, *extra) -> dict:
+    """Keyword arguments of ``subprocess`` for ``opentc predict`` in a fresh interpreter."""
+    argv = [sys.executable, "-m", "opentc.cli", "predict", "--model", model, *extra]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)  # a pipe to stdout is block-buffered, as in a plain shell
+    return {"args": argv, "env": env}
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_predict_non_utf8_input_exits_2(calibrated_model, tmp_path, source):
+    raw = b"cls0kw00 cls0kw01\n\xff bad\n"
+    inp = tmp_path / "docs.txt"
+    inp.write_bytes(raw)
+    extra = ["--input", str(inp)] if source == "file" else []
+    command = _predict_in_subprocess(calibrated_model, *extra)
+    done = subprocess.run(**command, input=raw, capture_output=True, timeout=60)
+    assert done.returncode == 2, done.stdout
+    assert b"error: 'utf-8' codec can't decode byte 0xff" in done.stderr
+    assert b"Traceback" not in done.stderr
+
+
+def test_predict_streams_a_chunk_before_stdin_closes(calibrated_model):
+    pipes = {"stdin": subprocess.PIPE, "stdout": subprocess.PIPE, "stderr": subprocess.DEVNULL}
+    proc = subprocess.Popen(**_predict_in_subprocess(calibrated_model), **pipes)
+    try:
+        proc.stdin.write(b"cls0kw00 cls0kw01\n" * INFERENCE_CHUNK)
+        proc.stdin.flush()  # and leave stdin open
+        lines = []
+
+        def read() -> None:
+            lines.extend(proc.stdout.readline() for _ in range(INFERENCE_CHUNK))
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=60)
+        assert len(lines) == INFERENCE_CHUNK and all(json.loads(line)["probs"] for line in lines)
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
 
 
 @pytest.fixture
