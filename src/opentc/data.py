@@ -84,10 +84,9 @@ def encode(tokens: list[str], vocab: Vocabulary, doc_len: int) -> np.ndarray:
     """Map to ids (UNK for out-of-vocab), truncate to ``doc_len`` or post-pad."""
     if doc_len < 1:
         raise ValueError("doc_len must be >= 1")
+    head = tokens[:doc_len]
     ids = np.full(doc_len, PAD_ID, dtype=np.int64)
-    for i, tok in enumerate(tokens[:doc_len]):
-        tid = vocab.id_for(tok)
-        ids[i] = UNK_ID if tid is None else tid
+    ids[: len(head)] = [vocab._ids.get(tok, UNK_ID) for tok in head]
     return ids
 
 

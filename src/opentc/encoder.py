@@ -131,7 +131,11 @@ def forward(params: ModelParams, doc, tape: Tape | None = None) -> Tensor:
 
     The embedding is looked up once per distinct id of the kept columns, and
     each width convolves those rows through an index per position, so the
-    cost of a forward follows the batch's distinct ids, not N*T.
+    cost of a forward follows the batch's distinct ids, not N*T. Within the
+    kept columns ``conv_max_pool`` stops each document at the start of its
+    own final run of one repeated id, and on a non-recording tape, the
+    default, it pools by max alone: the logits are bit-equal to those of a
+    recording tape.
     """
     cfg = params.config
     ids = np.asarray(doc, dtype=np.int64)

@@ -5,7 +5,9 @@ implemented: embedding lookup, the fused valid 1-D convolution plus
 max-over-time pooling that the encoder runs, dense layers, ReLU and
 concatenation. The fused op reads its input as a table of distinct token
 rows plus an index per position, so its work follows the distinct tokens in
-a batch, not its N*T windows. Valid 1-D convolution and max-over-time
+a batch, not its N*T windows; it stops each document's windows at the start
+of its final run of one repeated token, and on a non-recording tape it
+pools by max alone. Valid 1-D convolution and max-over-time
 pooling also exist as separate ops, the plain reference the fused op is
 tested against. All ops accept an optional leading batch dimension.
 Gradients are recorded on an explicit ``Tape`` and replayed in exact reverse
@@ -54,7 +56,9 @@ class Tape:
     """Records backward closures in execution order.
 
     ``backward`` replays them in reverse. A tape created with
-    ``record=False`` skips recording entirely, which is the inference mode.
+    ``record=False`` skips recording entirely, which is the inference mode;
+    an op may then skip work that only its backward reads, as
+    ``conv_max_pool`` skips the argmax.
     Nodes that are not on any path to the loss keep a zero (None) gradient:
     their closures see ``out.grad is None`` and do nothing.
     """
@@ -163,11 +167,18 @@ def conv_max_pool(tape: Tape, inv, rows: Tensor, filters: Tensor, bias: Tensor) 
     sums ``q[j][inv[j:j+T]]`` over j, in ``conv1d_valid``'s order, takes the
     first maximizing time step per filter and adds the bias to the pooled
     values: rounding is monotone, so ``max(c) + b == max(c + b)`` bit for
-    bit. Windows that hold the same tokens score exactly the same. The
-    backward scatters the pooled gradient to the tokens of the winning
-    windows, one window row at a time, into a (U, F) table per row. Work and
-    memory grow with U*w*F: at U == N*L (every token distinct) the (w, U, F)
-    responses outweigh an im2col of x.
+    bit. Windows that hold the same tokens score exactly the same, so every
+    window that starts at or after ``tail[n]``, the first position of
+    document n's final run of one repeated index, ties with the one at
+    ``tail[n]``: document n is convolved over its first ``min(T, tail[n] +
+    1)`` windows only, and the pooled values, the first-index argmax and
+    every gradient are those of all T. The rule reads only ``inv``, so it
+    holds whatever row the run repeats, PAD or not. On a non-recording tape
+    the forward pools by ``max`` alone, the same element the argmax picks,
+    and keeps no argmax. The backward scatters the pooled gradient to the
+    tokens of the winning windows, one window row at a time, into a (U, F)
+    table per row. Work and memory grow with U*w*F: at U == N*L (every token
+    distinct) the (w, U, F) responses outweigh an im2col of x.
     """
     inv = np.asarray(inv, dtype=np.int64)
     num_filters, width, _ = filters.shape
@@ -176,16 +187,22 @@ def conv_max_pool(tape: Tape, inv, rows: Tensor, filters: Tensor, bias: Tensor) 
     if inv.size and (inv.min() < 0 or inv.max() >= num_rows):
         raise ValueError(f"row index out of range [0, {num_rows})")
     docs = inv.reshape(-1, inv.shape[-1])  # (N, L)
+    # tail[n]: first position of document n's final run of one repeated index
+    tail = ((docs[:, 1:] != docs[:, :-1]) * np.arange(1, docs.shape[1])).max(axis=1, initial=0)
+    ends = np.minimum(steps, tail + 1).tolist()
     q = rows.data @ filters.data.transpose(1, 2, 0)  # (w, U, F): q[j] = rows @ filters[:, j].T
     cols = np.arange(num_filters)
-    idx = np.empty((len(docs), num_filters), dtype=np.int64)
+    idx = np.empty((len(docs), num_filters), dtype=np.int64) if tape.record else None
     pooled = np.empty((len(docs), num_filters))
-    for n, doc in enumerate(docs):
-        conv = q[0][doc[:steps]]  # (T, F)
+    for n, (doc, end) in enumerate(zip(docs, ends)):
+        conv = q[0].take(doc[:end], axis=0)  # (ends[n], F); take gathers faster than q[0][...]
         for j in range(1, width):
-            conv += q[j][doc[j : j + steps]]
-        idx[n] = np.argmax(conv, axis=0)  # first maximizing time step per filter
-        pooled[n] = conv[idx[n], cols]
+            conv += q[j].take(doc[j : j + end], axis=0)
+        if idx is None:
+            pooled[n] = conv.max(axis=0)
+        else:
+            idx[n] = np.argmax(conv, axis=0)  # first maximizing time step per filter
+            pooled[n] = conv[idx[n], cols]
     out = Tensor((pooled + bias.data).reshape(*inv.shape[:-1], num_filters))
 
     def back() -> None:

@@ -55,6 +55,13 @@ def test_encode_unk_truncate_pad():
     np.testing.assert_array_equal(ids, [2, 3])
     ids = encode([], v, doc_len=3)
     np.testing.assert_array_equal(ids, [PAD_ID] * 3)
+    ids = encode(["mouse", "owl"], v, doc_len=4)  # every token out of vocabulary
+    np.testing.assert_array_equal(ids, [UNK_ID, UNK_ID, PAD_ID, PAD_ID])
+    ids = encode(["dog", "owl", "cat"], v, doc_len=3)  # exactly doc_len tokens
+    np.testing.assert_array_equal(ids, [3, UNK_ID, 2])
+    ids = encode(["owl", "cat", "dog", "cat", "dog"], v, doc_len=3)  # more than doc_len
+    np.testing.assert_array_equal(ids, [UNK_ID, 2, 3])
+    assert ids.dtype == np.int64 and ids.shape == (3,)
 
 
 def _toy_docs(num_classes=5, per_class=20):

@@ -252,10 +252,15 @@ def test_params_copy_is_deep():
 
 
 def untrimmed_forward(params, ids, tape):
-    """The encoder's tape ops over all doc_len columns, PAD tail included."""
-    uniq, inv = np.unique(ids, return_inverse=True)
-    inv, rows = inv.reshape(np.shape(ids)), embed_lookup(tape, uniq, params.embedding)
-    pooled = [conv_max_pool(tape, inv, rows, f, b) for f, b in zip(params.conv_filters, params.conv_biases)]
+    """The encoder as the plain reference chain, ``embed_lookup ->
+    conv1d_valid -> max_over_time`` per width, over all doc_len columns of
+    every document: no trim of the batch's PAD tail or of any document's
+    trailing run."""
+    x = embed_lookup(tape, ids, params.embedding)
+    pooled = [
+        max_over_time(tape, conv1d_valid(tape, x, f, b))
+        for f, b in zip(params.conv_filters, params.conv_biases)
+    ]
     hidden = relu(tape, dense(tape, relu(tape, concat(tape, pooled)), params.w_hidden, params.b_hidden))
     return dense(tape, hidden, params.w_out, params.b_out)
 
@@ -309,6 +314,19 @@ def test_trimmed_gradients_match_the_untrimmed_chain():
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(got[0][PAD_ID], 0.0)
+
+
+def test_forward_on_a_recording_tape_is_bit_equal_to_inference():
+    # Without a recording tape the fused op pools by max alone; with one it
+    # also keeps the argmax for the backward. Both read the same element.
+    cfg = replace(CFG, doc_len=40, filter_widths=(3, 4, 5))
+    rng = np.random.default_rng(26)
+    params = _with_pad_row(cfg, 26)
+    ids = _post_padded(rng, rng.integers(0, 41, size=12), cfg)
+    ids[:3, 20:] = 7  # trailing runs of a real token
+    ids[3, :] = ids[3, 0]  # one run over the whole document
+    assert np.array_equal(forward(params, ids, Tape()).data, forward(params, ids).data)
+    assert np.array_equal(forward(params, ids[5], Tape()).data, forward(params, ids[5]).data)
 
 
 @pytest.fixture

@@ -2,8 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opentc.data import Vocabulary, encode_documents, tokenize
+from opentc.encoder import INFERENCE_CHUNK
 from opentc.head import ovr_loss
+from opentc.synthetic import generate_synthetic_dataset
 from opentc.tensor import (
     Tape,
     Tensor,
@@ -229,7 +234,9 @@ def _assert_fused_matches_reference(ids, table, filters, bias, relu_after=False)
     (table, filters, bias) gradients within 1e-12; a different winning time
     step would move a gradient by far more. With ``relu_after`` the fused op
     is followed by a ReLU and the reference applies it to every convolution
-    output. Returns the fused op's values and gradients."""
+    output. The fused op on a non-recording tape, which pools by max alone,
+    must give the recording forward's values bit for bit. Returns the fused
+    op's values and gradients."""
     results = []
     for fused in (True, False):
         params = [Tensor(table), Tensor(filters), Tensor(bias)]
@@ -237,7 +244,9 @@ def _assert_fused_matches_reference(ids, table, filters, bias, relu_after=False)
         if fused:
             uniq, inv = np.unique(ids, return_inverse=True)
             rows = embed_lookup(tape, uniq, params[0])
-            out = conv_max_pool(tape, inv.reshape(np.shape(ids)), rows, *params[1:])
+            args = (inv.reshape(np.shape(ids)), rows, *params[1:])
+            out = conv_max_pool(tape, *args)
+            assert np.array_equal(conv_max_pool(Tape(record=False), *args).data, out.data)
             out = relu(tape, out) if relu_after else out
         else:
             c = conv1d_valid(tape, embed_lookup(tape, ids, params[0]), *params[1:])
@@ -356,6 +365,56 @@ def test_conv_max_pool_backward_temporaries_are_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 64 * 200 * 50 * 8
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_conv_max_pool_trailing_runs_match_the_reference(data):
+    # Each document is random ids up to its length, then a run of one fill
+    # id: PAD, or a real token ("... x x x x"). Every window inside that run
+    # ties with the first of them, so the op convolves no further; the PAD
+    # row is not zero, so the rule cannot lean on PAD scoring the bias.
+    length = data.draw(st.integers(1, 10), label="L")
+    width = data.draw(st.one_of(st.just(length), st.integers(1, length)), label="width")
+    lengths = data.draw(st.lists(st.integers(0, length), min_size=1, max_size=5), label="lengths")
+    fill = data.draw(st.lists(st.integers(0, 5), min_size=len(lengths), max_size=len(lengths)), label="fill")
+    batched = data.draw(st.booleans(), label="batched") or len(lengths) > 1
+    relu_after = data.draw(st.booleans(), label="relu_after")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ids = rng.integers(0, 6, size=(len(lengths), length))
+    in_run = np.arange(length) >= np.asarray(lengths)[:, None]
+    ids = np.where(in_run, np.asarray(fill)[:, None], ids)
+    _assert_fused_matches_reference(
+        ids if batched else ids[0],
+        rng.normal(size=(6, 3)),
+        rng.normal(size=(4, width, 3)),
+        rng.normal(size=4),
+        relu_after=relu_after,
+    )
+
+
+def test_conv_max_pool_inference_forward_memory_is_bounded():
+    # One inference chunk of held-out synthetic documents at the paper's
+    # widest filter (L=200, e=50, w=5, F=150): the forward's peak is the
+    # (w, U, F) response table plus a few (T, F) window sums. A batch-wide
+    # (N, T, F) buffer, 7.5 MB here, would not fit.
+    docs = generate_synthetic_dataset(num_classes=8, docs_per_class=40, doc_len_range=(150, 250), seed=1)
+    vocab = Vocabulary.build([tokenize(d.text) for d in docs[1::2]], 5000)
+    ids = encode_documents(docs[::10][:INFERENCE_CHUNK], vocab, 200, ["c0"]).ids
+    assert ids.shape == (INFERENCE_CHUNK, 200)
+    uniq, inv = np.unique(ids, return_inverse=True)
+    rng = np.random.default_rng(31)
+    rows = Tensor(rng.normal(size=(len(uniq), 50)))
+    filters, bias = Tensor(rng.normal(size=(150, 5, 50))), Tensor(rng.normal(size=150))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        conv_max_pool(Tape(record=False), inv.reshape(ids.shape), rows, filters, bias)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    table, window_sums = 5 * len(uniq) * 150 * 8, (200 - 5 + 1) * 150 * 8
+    assert peak <= table + 4 * window_sums
 
 
 def test_conv_max_pool_ties_go_to_first_index():
