@@ -84,8 +84,17 @@ def _require_finite(values, what: str) -> None:
         raise ModelFormatError(f"{what} must be finite")
 
 
+def _check_tokens(tokens) -> None:
+    """The vocabulary rule, checked before ``Vocabulary`` hashes the tokens."""
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise ModelFormatError("vocabulary must be a list of strings")
+    if len(set(tokens)) != len(tokens):
+        raise ModelFormatError("vocabulary tokens must be distinct")
+
+
 def _check_model(model: TrainedModel) -> None:
-    """Every rule about a model's values, shared by ``save_model`` and ``load_model``."""
+    """Every rule about a model's values but the vocabulary's (``_check_tokens``),
+    shared by ``save_model`` and ``load_model``."""
     cfg = model.config
     tensors = model.params.all_tensors()
     if [t.data.shape for t in tensors] != param_shapes(cfg):
@@ -96,9 +105,6 @@ def _check_model(model: TrainedModel) -> None:
         raise ModelFormatError("class name list does not match num_classes")
     if not all(isinstance(c, str) for c in model.class_names):
         raise ModelFormatError("class names must be strings")
-    tokens = model.vocab.tokens
-    if not all(isinstance(t, str) for t in tokens) or len(set(tokens)) != len(tokens):
-        raise ModelFormatError("vocabulary tokens must be distinct strings")
     if len(model.vocab) > cfg.vocab_size:
         raise ModelFormatError(f"{len(model.vocab)} vocabulary ids exceed {cfg.vocab_size} embedding rows")
     tv = model.thresholds
@@ -116,6 +122,7 @@ def _check_model(model: TrainedModel) -> None:
 
 def save_model(path, model: TrainedModel) -> None:
     """Write ``model`` atomically, after the checks that ``load_model`` applies."""
+    _check_tokens(model.vocab.tokens)
     _check_model(model)
     header = {
         "config": asdict(model.config),
@@ -203,8 +210,7 @@ def load_model(path) -> TrainedModel:
 
     if _field(header, "head", str) != HEAD_ONE_VS_REST:
         raise ModelFormatError(f"only {HEAD_ONE_VS_REST!r} models are supported")
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise ModelFormatError("vocabulary must be a list of strings")
+    _check_tokens(tokens)
     if "thresholds" not in header:
         raise ModelFormatError("model header field 'thresholds' is missing")
     thresholds = None

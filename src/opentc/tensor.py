@@ -6,8 +6,10 @@ max-over-time pooling that the encoder runs, dense layers, ReLU and
 concatenation. The fused op reads its input as a table of distinct token
 rows plus an index per position, so its work follows the distinct tokens in
 a batch, not its N*T windows; it stops each document's windows at the start
-of its final run of one repeated token, and on a non-recording tape it
-pools by max alone. Valid 1-D convolution and max-over-time
+of its final run of one repeated token, sums the windows of documents of
+similar length in cache-sized blocks (one document per block at the paper
+shapes), and on a non-recording tape it pools by max alone. Valid 1-D
+convolution and max-over-time
 pooling also exist as separate ops, the plain reference the fused op is
 tested against. All ops accept an optional leading batch dimension.
 Gradients are recorded on an explicit ``Tape`` and replayed in exact reverse
@@ -21,6 +23,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 PAD_ID = 0
+# Window sums per block of conv_max_pool's forward, in float64 elements
+# (256 KiB), so a block's sum and its gather temporary stay in cache
+BLOCK = 2**15
 
 
 class Tensor:
@@ -163,17 +168,23 @@ def conv_max_pool(tape: Tape, inv, rows: Tensor, filters: Tensor, bias: Tensor) 
 
     The cost follows the U distinct tokens, not the N*T windows. The forward
     takes each token's response to each filter row, ``q[j] = rows @
-    filters[:, j].T`` (U*w*F dot products), then, one document at a time,
-    sums ``q[j][inv[j:j+T]]`` over j, in ``conv1d_valid``'s order, takes the
-    first maximizing time step per filter and adds the bias to the pooled
-    values: rounding is monotone, so ``max(c) + b == max(c + b)`` bit for
-    bit. Windows that hold the same tokens score exactly the same, so every
-    window that starts at or after ``tail[n]``, the first position of
-    document n's final run of one repeated index, ties with the one at
-    ``tail[n]``: document n is convolved over its first ``min(T, tail[n] +
-    1)`` windows only, and the pooled values, the first-index argmax and
-    every gradient are those of all T. The rule reads only ``inv``, so it
-    holds whatever row the run repeats, PAD or not. On a non-recording tape
+    filters[:, j].T`` (U*w*F dot products), then sums ``q[j][inv[j:j+T]]``
+    over j, in ``conv1d_valid``'s order, takes the first maximizing time
+    step per filter and adds the bias to the pooled values: rounding is
+    monotone, so ``max(c) + b == max(c + b)`` bit for bit. Windows that hold
+    the same tokens score exactly the same, so every window that starts at
+    or after ``tail[n]``, the first position of document n's final run of
+    one repeated index, ties with the one at ``tail[n]``: document n needs
+    only its first ``ends[n] = min(T, tail[n] + 1)`` windows, and the pooled
+    values, the first-index argmax and every gradient are those of all T.
+    The rule reads only ``inv``, so it holds whatever row the run repeats,
+    PAD or not. The sum runs over blocks of ``b = BLOCK // (T*F)`` documents
+    (at least one) in the order of their ``ends``, position-major, so one
+    block's (end, b*F) window sums fit in cache and are pooled along axis 0
+    in one call; a block runs to its largest ``end``, which is exact, as a
+    document's windows past its own end tie with the one at its ``tail``.
+    At the paper shapes T*F is near BLOCK, so b is 1; 30-60-token documents
+    with 50 filters share a block ten at a time. On a non-recording tape
     the forward pools by ``max`` alone, the same element the argmax picks,
     and keeps no argmax. The backward scatters the pooled gradient to the
     tokens of the winning windows, one window row at a time, into a (U, F)
@@ -187,22 +198,36 @@ def conv_max_pool(tape: Tape, inv, rows: Tensor, filters: Tensor, bias: Tensor) 
     if inv.size and (inv.min() < 0 or inv.max() >= num_rows):
         raise ValueError(f"row index out of range [0, {num_rows})")
     docs = inv.reshape(-1, inv.shape[-1])  # (N, L)
+    num_docs = len(docs)
     # tail[n]: first position of document n's final run of one repeated index
     tail = ((docs[:, 1:] != docs[:, :-1]) * np.arange(1, docs.shape[1])).max(axis=1, initial=0)
-    ends = np.minimum(steps, tail + 1).tolist()
+    ends = np.minimum(steps, tail + 1)
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order].tolist()
+    by_pos = docs[order].T  # (L, N), documents sorted by ends
+    per_block = max(1, min(num_docs, BLOCK // max(1, steps * num_filters)))  # documents per block
     q = rows.data @ filters.data.transpose(1, 2, 0)  # (w, U, F): q[j] = rows @ filters[:, j].T
     cols = np.arange(num_filters)
-    idx = np.empty((len(docs), num_filters), dtype=np.int64) if tape.record else None
-    pooled = np.empty((len(docs), num_filters))
-    for n, (doc, end) in enumerate(zip(docs, ends)):
-        conv = q[0].take(doc[:end], axis=0)  # (ends[n], F); take gathers faster than q[0][...]
+    lanes = np.arange(per_block * num_filters)  # one block's (document, filter) pairs
+    # pooled and idx hold the sorted documents' (document, filter) pairs in a row
+    idx = np.empty(num_docs * num_filters, dtype=np.int64) if tape.record else None
+    pooled = np.empty(num_docs * num_filters)
+    for start in range(0, num_docs, per_block):
+        block = by_pos[:, start : start + per_block]  # (L, b)
+        b, end = block.shape[1], ends[start + block.shape[1] - 1]  # the block's largest end
+        conv = q[0].take(block[:end], axis=0)  # (end, b, F); take gathers faster than q[0][...]
         for j in range(1, width):
-            conv += q[j].take(doc[j : j + end], axis=0)
+            conv += q[j].take(block[j : j + end], axis=0)
+        conv = conv.reshape(end, b * num_filters)
+        at = slice(start * num_filters, (start + b) * num_filters)
         if idx is None:
-            pooled[n] = conv.max(axis=0)
+            pooled[at] = conv.max(axis=0)
         else:
-            idx[n] = np.argmax(conv, axis=0)  # first maximizing time step per filter
-            pooled[n] = conv[idx[n], cols]
+            idx[at] = np.argmax(conv, axis=0)  # first maximizing time step per pair
+            pooled[at] = conv[idx[at], lanes[: b * num_filters]]
+    unsort = np.argsort(order)  # document n's position in the sorted order
+    pooled = pooled.reshape(num_docs, num_filters)[unsort]
+    idx = None if idx is None else idx.reshape(num_docs, num_filters)[unsort]
     out = Tensor((pooled + bias.data).reshape(*inv.shape[:-1], num_filters))
 
     def back() -> None:

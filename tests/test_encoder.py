@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opentc.data import Vocabulary, encode_documents
+from opentc.data import Vocabulary, encode_documents, tokenize
 from opentc.encoder import (
     INFERENCE_CHUNK,
     EmbeddingFormatError,
@@ -29,6 +29,7 @@ from opentc.tensor import (
     relu,
 )
 from opentc import encoder
+from opentc.synthetic import generate_synthetic_dataset
 from opentc.trainer import ModelSpec
 
 
@@ -327,6 +328,36 @@ def test_forward_on_a_recording_tape_is_bit_equal_to_inference():
     ids[3, :] = ids[3, 0]  # one run over the whole document
     assert np.array_equal(forward(params, ids, Tape()).data, forward(params, ids).data)
     assert np.array_equal(forward(params, ids[5], Tape()).data, forward(params, ids[5]).data)
+
+
+def test_forward_is_permutation_invariant_at_sweep_shapes(monkeypatch):
+    # The experiment sweep's shapes: 30-60-token documents, vocabulary 500,
+    # 50 filters per width. conv_max_pool sorts each batch by document length
+    # and pools several documents per block, so a reordered batch meets other
+    # block neighbours; each document's pooled features must still be bit for
+    # bit its own. The dense layers' GEMMs may round a row differently at
+    # another position in the batch, so the logits are compared within 1e-15.
+    pooled = []
+
+    def recording(tape, inv, rows, filters, bias):
+        out = conv_max_pool(tape, inv, rows, filters, bias)
+        pooled.append(out.data)
+        return out
+
+    monkeypatch.setattr(encoder, "conv_max_pool", recording)
+    docs = generate_synthetic_dataset(docs_per_class=100, seed=3)
+    vocab = Vocabulary.build([tokenize(d.text) for d in docs], 500)
+    ids = encode_documents(docs[::7][:96], vocab, 200, ["c0"]).ids
+    cfg = EncoderConfig(num_classes=4, **asdict(replace(ModelSpec(), vocab_size=500, filters_per_width=50, hidden_dim=100)))
+    params = init_params(cfg, np.random.default_rng(27))
+    perm = np.random.default_rng(27).permutation(len(ids))
+    for tape in (Tape(record=False), Tape()):
+        pooled.clear()
+        got, want = forward(params, ids[perm], tape).data, forward(params, ids, tape).data[perm]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert len(pooled) == 2 * len(cfg.filter_widths)
+        for p_perm, p in zip(pooled[:3], pooled[3:]):
+            assert np.array_equal(p_perm, p[perm])
 
 
 @pytest.fixture

@@ -378,6 +378,7 @@ def _rewrite_vocab(path, tokens):
 BAD_VOCABS = {
     "too-long": [f"tok{i}" for i in range(CFG.vocab_size - 1)],  # 11 tokens + PAD + UNK > 12 rows
     "repeated-token": ["tok0", "tok1", "tok0"],
+    "non-string-token": ["tok0", 3],
 }
 
 
@@ -402,6 +403,19 @@ def test_save_refuses_a_vocabulary_that_does_not_fit(tmp_path, tokens):
     with pytest.raises(ModelFormatError, match="vocabulary"):
         save_model(path, model)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "tokens", [["tok0", ["tok1"]], ["tok0", {"tok1": 1}], {"tok0": 2}, "tok0"], ids=["list-token", "dict-token", "json-object", "json-string"]
+)
+def test_vocabulary_that_cannot_be_hashed_exits_2(tmp_path, tokens):
+    # checked before Vocabulary builds its token -> id dict
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    _rewrite_vocab(path, tokens)
+    with pytest.raises(ModelFormatError, match="vocabulary must be a list of strings"):
+        load_model(path)
+    assert main(["inspect", "--model", str(path)]) == 2
 
 
 def test_vocabulary_smaller_than_the_embedding_loads(tmp_path):

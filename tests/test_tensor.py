@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from opentc.data import Vocabulary, encode_documents, tokenize
 from opentc.encoder import INFERENCE_CHUNK
+from opentc import tensor
 from opentc.head import ovr_loss
 from opentc.synthetic import generate_synthetic_dataset
 from opentc.tensor import (
+    PAD_ID,
     Tape,
     Tensor,
     concat,
@@ -393,6 +395,31 @@ def test_conv_max_pool_trailing_runs_match_the_reference(data):
     )
 
 
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "unbatched"])
+@pytest.mark.parametrize(
+    "block", [1, 3 * 10 * 4 + 5, 10**6], ids=["one-document-per-block", "blocks-of-3-3-1", "one-block"]
+)
+def test_conv_max_pool_blocks_match_one_document_per_block(monkeypatch, block, batched):
+    # Seven documents whose real lengths are out of order, so sorting by
+    # window count permutes the batch; T = 12 - 3 + 1 = 10 windows of F = 4
+    # filters, so a budget of 125 elements holds 3 documents per block. A
+    # block convolves up to its longest document: past a shorter one's own
+    # end its windows lie in its trailing run and tie with the first of them.
+    rng = np.random.default_rng(32)
+    ids = np.where(np.arange(12) < np.array([9, 12, 2, 11, 7, 4, 0])[:, None], rng.integers(1, 8, size=(7, 12)), 0)
+    ids[5, 4:] = 5  # a trailing run of a real token
+    ids = ids if batched else ids[5]
+    table, filters, bias = rng.normal(size=(8, 3)), rng.normal(size=(4, 3, 3)), rng.normal(size=4)
+    results = []
+    for budget in (1, block):
+        monkeypatch.setattr(tensor, "BLOCK", budget)
+        results.append(_assert_fused_matches_reference(ids, table, filters, bias))
+    (one, one_grads), (got, got_grads) = results
+    assert np.array_equal(got, one)  # the same values, so the same argmax and bias
+    for g, want in zip(got_grads, one_grads):
+        assert np.array_equal(g, want)  # the same winning windows
+
+
 def test_conv_max_pool_inference_forward_memory_is_bounded():
     # One inference chunk of held-out synthetic documents at the paper's
     # widest filter (L=200, e=50, w=5, F=150): the forward's peak is the
@@ -415,6 +442,32 @@ def test_conv_max_pool_inference_forward_memory_is_bounded():
         tracemalloc.stop()
     table, window_sums = 5 * len(uniq) * 150 * 8, (200 - 5 + 1) * 150 * 8
     assert peak <= table + 4 * window_sums
+
+
+def test_conv_max_pool_inference_forward_memory_is_bounded_at_sweep_shapes():
+    # One inference chunk of the experiment sweep's 30-60-token documents,
+    # F = 50: a document's (T, F) window sum is about 24 KB, so the forward
+    # gathers and adds several documents per block. Its peak is the (w, U, F)
+    # response table plus two blocks of BLOCK elements, the take temporary
+    # and the running sum. A batch-wide (N, T, F) buffer, 0.8 MB here, would
+    # not fit.
+    docs = generate_synthetic_dataset(docs_per_class=100, seed=1)
+    vocab = Vocabulary.build([tokenize(d.text) for d in docs[1::2]], 500)
+    ids = encode_documents(docs[::10][:INFERENCE_CHUNK], vocab, 64, ["c0"]).ids
+    assert ids.shape == (INFERENCE_CHUNK, 64) and (ids != PAD_ID).sum(axis=1).min() >= 30
+    uniq, inv = np.unique(ids, return_inverse=True)
+    rng = np.random.default_rng(33)
+    rows = Tensor(rng.normal(size=(len(uniq), 50)))
+    for width in (3, 5):
+        filters, bias = Tensor(rng.normal(size=(50, width, 50))), Tensor(rng.normal(size=50))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            conv_max_pool(Tape(record=False), inv.reshape(ids.shape), rows, filters, bias)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= width * len(uniq) * 50 * 8 + 2 * tensor.BLOCK * 8
 
 
 def test_conv_max_pool_ties_go_to_first_index():
