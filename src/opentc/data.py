@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import json
 import re
+import string
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -18,6 +20,10 @@ UNK_ID = 1
 UNSEEN = -1  # label of documents of held-out classes
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# bytes -> a-z and 0-9 kept, every other byte a space: the whitespace-split
+# of a translated lowercase text is its _TOKEN_RE tokens
+_ALNUM = (string.ascii_lowercase + string.digits).encode()
+_ASCII_TABLE = bytes(c if c in _ALNUM else ord(" ") for c in range(256))
 
 
 class DatasetFormatError(ValueError):
@@ -31,8 +37,13 @@ class Document:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on runs of non-alphanumeric characters."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase and split on runs of characters outside a-z and 0-9.
+
+    Lowercasing comes first, since it may map a non-ASCII character to ASCII
+    (the Kelvin sign to k); every code point still outside ASCII becomes '?'
+    and, like every other non-alphanumeric byte, a space.
+    """
+    return text.lower().encode("ascii", "replace").translate(_ASCII_TABLE).decode().split()
 
 
 class Vocabulary:
@@ -86,7 +97,7 @@ def encode(tokens: list[str], vocab: Vocabulary, doc_len: int) -> np.ndarray:
         raise ValueError("doc_len must be >= 1")
     head = tokens[:doc_len]
     ids = np.full(doc_len, PAD_ID, dtype=np.int64)
-    ids[: len(head)] = [vocab._ids.get(tok, UNK_ID) for tok in head]
+    ids[: len(head)] = np.fromiter(map(vocab._ids.get, head, repeat(UNK_ID)), dtype=np.int64, count=len(head))
     return ids
 
 
@@ -182,11 +193,15 @@ def load_jsonl(path) -> list[Document]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"line {lineno}: invalid JSON") from exc
+            except RecursionError as exc:  # nesting deeper than the parser's stack
+                raise DatasetFormatError(f"line {lineno}: JSON nested too deeply") from exc
             if not isinstance(rec, dict) or set(rec) != {"label", "text"}:
                 raise DatasetFormatError(
                     f"line {lineno}: expected exactly the keys 'label' and 'text'"
                 )
-            docs.append(Document(label=str(rec["label"]), text=str(rec["text"])))
+            if not (isinstance(rec["label"], str) and isinstance(rec["text"], str)):
+                raise DatasetFormatError(f"line {lineno}: 'label' and 'text' must be strings")
+            docs.append(Document(label=rec["label"], text=rec["text"]))
     return docs
 
 

@@ -195,6 +195,8 @@ def load_model(path) -> TrainedModel:
             cfg = _config(_field(header, "config", dict))
         except (KeyError, ValueError, TypeError) as exc:
             raise ModelFormatError(f"corrupt model header: {exc}") from exc
+        except RecursionError as exc:  # nesting deeper than the parser's stack
+            raise ModelFormatError("corrupt model header: JSON nested too deeply") from exc
 
         tensors = []
         for shape in param_shapes(cfg):

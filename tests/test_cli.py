@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -237,8 +238,9 @@ def test_predict_json_margins_explain_a_reject(dataset, calibrated_model, tmp_pa
         assert {rec["prediction"] == "REJECT" for rec in records} == {t == "1"}
 
 
-def test_predict_chunks_agree_with_one_document_forwards(dataset, calibrated_model, tmp_path, capsys):
-    texts = [d.text for d in load_jsonl(dataset)[: 2 * INFERENCE_CHUNK + 4]]
+def test_predict_chunks_agree_with_one_document_forwards(calibrated_model, tmp_path, capsys):
+    n = 2 * INFERENCE_CHUNK + 4  # two full chunks and a partial one
+    texts = [d.text for d in generate_synthetic_dataset(num_classes=3, docs_per_class=-(-n // 3), seed=1)[:n]]
     texts.insert(INFERENCE_CHUNK + 3, "")  # an empty line is a document of PAD only
     inp = tmp_path / "docs.txt"
     inp.write_text("\n".join(texts), encoding="utf-8")  # no newline after the last line
@@ -303,6 +305,78 @@ def test_predict_streams_a_chunk_before_stdin_closes(calibrated_model):
         proc.wait()
         proc.stdin.close()
         proc.stdout.close()
+
+
+def _with_section(raw: bytes, index: int, payload: bytes) -> bytes:
+    """Model bytes ``raw`` with section ``index`` (0 the header, 1 the vocabulary) replaced by ``payload``."""
+    at = 8  # after the magic and the version
+    for _ in range(index):
+        at += 8 + struct.unpack_from("<Q", raw, at)[0]
+    end = at + 8 + struct.unpack_from("<Q", raw, at)[0]
+    return raw[:at] + struct.pack("<Q", len(payload)) + payload + raw[end:]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "{deep_data}", "--out", "{tmp}/m.docm", *FAST_FLAGS],
+        ["experiment", "--data", "{deep_data}", *FAST_FLAGS],
+        ["calibrate", "--model", "{model}", "--data", "{deep_data}"],
+        ["calibrate", "--model", "{deep_header}", "--data", "{data}"],
+        ["inspect", "--model", "{deep_header}"],
+        ["inspect", "--model", "{deep_vocab}"],
+        ["predict", "--model", "{deep_header}", "--input", "{data}"],
+        ["predict", "--model", "{deep_vocab}", "--input", "{data}"],
+    ],
+    ids=[
+        "train-data",
+        "experiment-data",
+        "calibrate-data",
+        "calibrate-header",
+        "inspect-header",
+        "inspect-vocabulary",
+        "predict-header",
+        "predict-vocabulary",
+    ],
+)
+def test_json_nested_too_deeply_exits_2(argv, dataset, calibrated_model, tmp_path, capsys, no_training):
+    deep = b"[" * 100_000
+    raw = Path(calibrated_model).read_bytes()
+    paths = {
+        "tmp": tmp_path / "out",
+        "data": dataset,
+        "model": tmp_path / "model.docm",
+        "deep_data": tmp_path / "deep.jsonl",
+        "deep_header": tmp_path / "deep_header.docm",
+        "deep_vocab": tmp_path / "deep_vocab.docm",
+    }
+    paths["tmp"].mkdir()
+    paths["model"].write_bytes(raw)
+    paths["deep_data"].write_bytes(b'{"label": "a", "text": "x"}\n' + deep + b"\n")
+    paths["deep_header"].write_bytes(_with_section(raw, 0, deep))
+    paths["deep_vocab"].write_bytes(_with_section(raw, 1, deep))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "Traceback" not in err
+    assert ("line 2:" in err) == ("{deep_data}" in argv)
+    assert list(paths["tmp"].iterdir()) == [] and paths["model"].read_bytes() == raw
+
+
+@pytest.mark.parametrize("command", ["train", "experiment", "calibrate"])
+def test_non_string_jsonl_field_exits_2(command, calibrated_model, tmp_path, capsys, no_training):
+    data = tmp_path / "d.jsonl"
+    data.write_text('{"label": "a", "text": "x"}\n{"label": "b", "text": null}\n')
+    model = tmp_path / "m.docm"
+    flags = {
+        "train": ["--out", str(model), *FAST_FLAGS],
+        "experiment": FAST_FLAGS,
+        "calibrate": ["--model", str(model)],
+    }[command]
+    if command == "calibrate":
+        model.write_bytes(Path(calibrated_model).read_bytes())
+    assert main([command, "--data", str(data), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "error: line 2: 'label' and 'text' must be strings" in err
 
 
 @pytest.fixture

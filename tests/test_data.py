@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from opentc.data import (
+    _TOKEN_RE,
     PAD_ID,
     UNK_ID,
     UNSEEN,
@@ -23,6 +28,43 @@ def test_tokenize_lowercases_and_splits():
     assert tokenize("a-b_c") == ["a", "b", "c"]
     assert tokenize("") == []
     assert tokenize("...") == []
+
+
+# characters that ASCII and Unicode rules treat differently: the Kelvin sign
+# lowercases to k, dotted capital I to i plus a combining dot, and sharp s is
+# a letter outside a-z; \x1c-\x1f, \x85 and \xa0 are whitespace to
+# str.split() but never inside a token; NUL is a plain non-word character
+TRICKY = "\u212a\u0130\u00df\x1c\x1d\x1e\x1f\x85\xa0\x00"
+
+
+@given(st.text(st.one_of(st.characters(max_codepoint=127), st.sampled_from("Az09 -_\x1c\x1f\x00\x7f"))))
+def test_tokenize_ascii_matches_the_regex(text):
+    assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+
+
+@given(st.text(st.one_of(st.characters(), st.sampled_from(TRICKY + "Kk z9"))))
+@example("\u212aelvin")
+@example("\u0130stanbul stra\u00dfe\x85a\xa0b\x00c\x1cd")
+def test_tokenize_unicode_matches_the_regex(text):
+    assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+
+
+WORDS = ["cat", "dog", "owl", "emu", "yak"]
+
+
+@given(
+    tokens=st.lists(st.sampled_from(WORDS), max_size=12),
+    known=st.lists(st.sampled_from(WORDS), unique=True, max_size=4),
+    doc_len=st.integers(1, 10),
+)
+@example(tokens=[], known=["cat"], doc_len=3)  # PAD only
+@example(tokens=["owl", "cat", "dog"], known=["cat", "dog"], doc_len=2)  # truncation and UNK
+def test_encode_matches_a_dict_lookup(tokens, known, doc_len):
+    vocab = Vocabulary(known)
+    ids = {tok: i + 2 for i, tok in enumerate(known)}
+    head = [ids.get(tok, UNK_ID) for tok in tokens[:doc_len]]
+    got = encode(tokens, vocab, doc_len)
+    assert got.dtype == np.int64 and got.tolist() == head + [PAD_ID] * (doc_len - len(head))
 
 
 def test_vocab_build_frequency_order_with_tie_break():
@@ -191,3 +233,30 @@ def test_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"label": "a", "text": "x"}\n\n{"label": "b", "text": "y"}\n')
     assert len(load_jsonl(path)) == 2
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"label": "a", "text": None},
+        {"label": 3, "text": "x"},
+        {"label": True, "text": "x"},
+        {"label": "a", "text": ["x"]},
+        {"label": "a", "text": {"x": 1}},
+        {"label": "a", "text": 1.5},
+    ],
+    ids=["null-text", "int-label", "bool-label", "list-text", "object-text", "float-text"],
+)
+def test_jsonl_refuses_non_string_fields(tmp_path, record):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"label": "a", "text": "x"}\n' + json.dumps(record) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 2: 'label' and 'text' must be strings"):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize("line", ["[" * 100_000, '{"label": "a", "text": ' + '{"k": ' * 100_000], ids=["array", "object"])
+def test_jsonl_refuses_json_nested_too_deeply(tmp_path, line):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"label": "a", "text": "x"}\n' + line + "\n")
+    with pytest.raises(DatasetFormatError, match="line 2: JSON nested too deeply"):
+        load_jsonl(path)

@@ -424,8 +424,9 @@ def test_conv_max_pool_inference_forward_memory_is_bounded():
     # One inference chunk of held-out synthetic documents at the paper's
     # widest filter (L=200, e=50, w=5, F=150): the forward's peak is the
     # (w, U, F) response table plus a few (T, F) window sums. A batch-wide
-    # (N, T, F) buffer, 7.5 MB here, would not fit.
-    docs = generate_synthetic_dataset(num_classes=8, docs_per_class=40, doc_len_range=(150, 250), seed=1)
+    # (N, T, F) buffer, 15 MB here, would not fit.
+    per_class = 10 * INFERENCE_CHUNK // 8  # every tenth document fills one chunk
+    docs = generate_synthetic_dataset(num_classes=8, docs_per_class=per_class, doc_len_range=(150, 250), seed=1)
     vocab = Vocabulary.build([tokenize(d.text) for d in docs[1::2]], 5000)
     ids = encode_documents(docs[::10][:INFERENCE_CHUNK], vocab, 200, ["c0"]).ids
     assert ids.shape == (INFERENCE_CHUNK, 200)
@@ -449,7 +450,7 @@ def test_conv_max_pool_inference_forward_memory_is_bounded_at_sweep_shapes():
     # F = 50: a document's (T, F) window sum is about 24 KB, so the forward
     # gathers and adds several documents per block. Its peak is the (w, U, F)
     # response table plus two blocks of BLOCK elements, the take temporary
-    # and the running sum. A batch-wide (N, T, F) buffer, 0.8 MB here, would
+    # and the running sum. A batch-wide (N, T, F) buffer, 1.6 MB here, would
     # not fit.
     docs = generate_synthetic_dataset(docs_per_class=100, seed=1)
     vocab = Vocabulary.build([tokenize(d.text) for d in docs[1::2]], 500)
