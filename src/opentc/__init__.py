@@ -29,7 +29,7 @@ from .evaluation import (
     macro_f1,
     run_experiment,
 )
-from .head import OpenPrediction, class_probabilities, predict_open
+from .head import OpenPrediction, class_probabilities, open_predictions, predict_open
 from .model_io import TrainedModel, load_model, save_model
 from .synthetic import generate_synthetic_dataset
 from .tensor import Tape, Tensor, grad_check
@@ -70,6 +70,7 @@ __all__ = [
     "load_model",
     "macro_f1",
     "make_open_split",
+    "open_predictions",
     "predict_open",
     "run_experiment",
     "save_jsonl",

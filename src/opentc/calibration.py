@@ -61,6 +61,12 @@ def check_alpha(alpha: float) -> None:
         raise CalibrationError(f"alpha must be positive and finite, got {alpha}")
 
 
+def check_logit_matrix(logits: np.ndarray, labels: np.ndarray) -> None:
+    """Refuse anything but an (N, m) logit matrix and its N labels."""
+    if logits.ndim != 2 or labels.shape != (len(logits),):
+        raise CalibrationError(f"need an (N, m) logit matrix and N labels, got {logits.shape}, {labels.shape}")
+
+
 def fit_thresholds(logits, labels, alpha: float = DEFAULT_ALPHA) -> ThresholdVector:
     """Fit one threshold per seen class from an (N, m) training logit matrix.
 
@@ -71,8 +77,7 @@ def fit_thresholds(logits, labels, alpha: float = DEFAULT_ALPHA) -> ThresholdVec
     """
     check_alpha(alpha)
     logits, labels = np.asarray(logits), np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != (len(logits),):
-        raise CalibrationError(f"need an (N, m) logit matrix and N labels, got {logits.shape}, {labels.shape}")
+    check_logit_matrix(logits, labels)
     m = logits.shape[1]
     if ((labels < 0) | (labels >= m)).any():
         raise CalibrationError("calibration data must carry seen-class labels")

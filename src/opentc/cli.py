@@ -19,7 +19,7 @@ from .calibration import DEFAULT_ALPHA, CalibrationError, check_alpha, fit_thres
 from .data import encode, encode_documents, load_jsonl, tokenize
 from .encoder import INFERENCE_CHUNK, batched_logits, init_params, load_pretrained_embeddings
 from .evaluation import ExperimentSpec, run_experiment
-from .head import class_probabilities, predict_open
+from .head import class_probabilities, open_predictions
 from .model_io import MAGIC, VERSION, TrainedModel, load_model, save_model
 from .trainer import HEAD_ONE_VS_REST, ModelSpec, TrainConfig, TrainingDivergedError, train
 
@@ -195,27 +195,21 @@ def cmd_predict(args) -> int:
     elif model.thresholds is not None:
         thresholds = model.thresholds
     else:
-        raise CalibrationError(
-            "model has no fitted thresholds; calibrate first or pass --t"
-        )
+        raise CalibrationError("model has no fitted thresholds; calibrate first or pass --t")
     names = model.class_names
+    labels = names + ["REJECT"]  # indexed by open_predictions, m for a rejection
     # one strict UTF-8 reader for a file and for stdin alike
     source = sys.stdin.fileno() if args.input == "-" else args.input
     with open(source, "r", encoding="utf-8", closefd=args.input != "-") as stream:
         while chunk := list(islice(stream, INFERENCE_CHUNK)):
             ids = np.stack([encode(tokenize(line.rstrip("\n")), model.vocab, model.config.doc_len) for line in chunk])
             probs = class_probabilities(batched_logits(model.params, ids))
-            for row, margins in zip(probs, probs - thresholds.t):
-                pred = predict_open(row, thresholds)
-                name = "REJECT" if pred.is_reject else names[pred.class_index]
-                top = float(row.max())
+            predicted = [labels[k] for k in open_predictions(probs, thresholds).tolist()]
+            rows = zip(predicted, probs.max(axis=1).tolist(), probs.tolist(), (probs - thresholds.t).tolist())
+            for name, top, row, margins in rows:
                 if args.format == "json":
-                    record = {
-                        "prediction": name,
-                        "probability": top,
-                        "probs": {c: float(p) for c, p in zip(names, row)},
-                        "margins": {c: float(d) for c, d in zip(names, margins)},
-                    }
+                    record = {"prediction": name, "probability": top, "probs": dict(zip(names, row))}
+                    record["margins"] = dict(zip(names, margins))
                     print(json.dumps(record, sort_keys=True))
                 else:
                     print("\t".join([name, f"{top:.6f}"] + [f"{p:.6f}" for p in row]))

@@ -181,17 +181,25 @@ def build_vocab_from_split(split: OpenSplit, max_size: int) -> Vocabulary:
     return Vocabulary.build([tokenize(d.text) for d in split.train], max_size)
 
 
+def decoded_lines(stream, error: type[ValueError]):
+    """The lines of a stream opened as UTF-8 text; bytes that do not decode raise ``error``."""
+    try:
+        yield from stream
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8 text: {exc.reason}") from exc
+
+
 def load_jsonl(path) -> list[Document]:
     """Read a dataset file: one JSON object per line with keys label and text."""
     docs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(decoded_lines(fh, DatasetFormatError), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
                 raise DatasetFormatError(f"line {lineno}: invalid JSON") from exc
             except RecursionError as exc:  # nesting deeper than the parser's stack
                 raise DatasetFormatError(f"line {lineno}: JSON nested too deeply") from exc

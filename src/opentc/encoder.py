@@ -6,8 +6,9 @@ Each width's convolution and max-over-time pooling run as one fused op, and
 the ReLU follows the pooling: ``relu(max(c)) == max(relu(c))`` exactly, so
 this is the same function as a ReLU on every convolution output. A forward
 embeds each distinct id of its batch once and the fused op convolves each
-distinct token once, so the convolution's work follows the number of
-distinct ids in a batch, not its documents times their length.
+distinct token once, up to the start of each document's PAD tail (or final
+run of any one id), so the convolution's work follows the distinct ids in a
+batch, not its documents times their length.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .data import decoded_lines
 from .tensor import PAD_ID, Tape, Tensor, concat, conv_max_pool, dense, embed_lookup, relu
 
 # Documents per inference forward: batched_logits and each predict chunk.
@@ -128,33 +130,22 @@ def forward(params: ModelParams, doc, tape: Tape | None = None) -> Tensor:
     Pure function of (params, doc); a fresh non-recording tape is used when
     none is supplied.
 
-    Only the columns up to the batch's last non-PAD id plus the widest filter
-    are convolved. Every window that starts past that id is all PAD in every
-    row, so all of them score the same (the bias, as the PAD row is zero);
-    the first one is kept, so the pooled maxima, their first-index argmax and
-    every gradient but the PAD row's, which is always zero, are those of the
-    full length.
-
-    The embedding is looked up once per distinct id of the kept columns, and
-    each width convolves those rows through an index per position, so the
-    cost of a forward follows the batch's distinct ids, not N*T. Within the
-    kept columns ``conv_max_pool`` stops each document at the start of its
-    own final run of one repeated id, and on a non-recording tape, the
-    default, it pools by max alone: the logits are bit-equal to those of a
-    recording tape.
+    The embedding is looked up once per distinct id of the batch (found by
+    counting, not sorting), and each width convolves those rows through an
+    index per position, so the cost follows the batch's distinct ids, not
+    N*T. ``conv_max_pool`` stops each document at the start of its final run
+    of one id, such as its PAD tail; on a non-recording tape, the default, it
+    pools by max alone, bit-equal to a recording tape's logits.
     """
-    cfg = params.config
     ids = np.asarray(doc, dtype=np.int64)
-    if ids.shape[-1] != cfg.doc_len:
-        raise ValueError(f"document length {ids.shape[-1]} != configured {cfg.doc_len}")
+    if ids.shape[-1] != params.config.doc_len:
+        raise ValueError(f"document length {ids.shape[-1]} != configured {params.config.doc_len}")
     if tape is None:
         tape = Tape(record=False)
 
-    used = (ids != PAD_ID).any(axis=tuple(range(ids.ndim - 1)))  # (L,) any row non-PAD
-    end = int(np.max(np.flatnonzero(used), initial=-1)) + 1  # 0 for an all-PAD batch
-    keep = min(cfg.doc_len, end + max(cfg.filter_widths))
-    uniq, inv = np.unique(ids[..., :keep], return_inverse=True)
-    inv = inv.reshape(*ids.shape[:-1], keep)  # numpy versions disagree on its shape
+    present = np.bincount(ids.ravel(), minlength=len(params.embedding.data)) > 0  # refuses a negative id
+    uniq = np.flatnonzero(present)  # ascending, as np.unique
+    inv = (np.cumsum(present) - 1)[ids]  # each position's index into uniq
     rows = embed_lookup(tape, uniq, params.embedding)
     pooled = [
         conv_max_pool(tape, inv, rows, filt, bias)
@@ -183,7 +174,7 @@ def load_pretrained_embeddings(params: ModelParams, source: Iterable[str] | IO[s
     """
     e = params.config.embed_dim
     replaced = 0
-    for lineno, line in enumerate(source, start=1):
+    for lineno, line in enumerate(decoded_lines(source, EmbeddingFormatError), start=1):
         line = line.strip()
         if not line:
             continue

@@ -9,10 +9,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calibration import DEFAULT_ALPHA, ThresholdVector, check_alpha, fit_thresholds, fixed_thresholds
+from .calibration import DEFAULT_ALPHA, ThresholdVector, check_alpha, check_logit_matrix, fit_thresholds, fixed_thresholds
 from .data import Document
 from .encoder import batched_logits
-from .head import class_probabilities, predict_open
+from .head import class_probabilities, open_predictions
 from .trainer import HEAD_ONE_VS_REST, HEAD_SOFTMAX, ModelSpec, TrainConfig, train
 
 METHOD_DOC = "doc"
@@ -75,8 +75,7 @@ def macro_f1(cm: ConfusionMatrix) -> float:
 def _gold(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Gold indices of an (N, m) logit matrix's N labels, every unseen class
     collapsed into the reject index m."""
-    if logits.ndim != 2 or labels.shape != (len(logits),):
-        raise ValueError(f"need an (N, m) logit matrix and N labels, got {logits.shape}, {labels.shape}")
+    check_logit_matrix(logits, labels)
     return np.where(labels >= 0, labels, logits.shape[1])
 
 
@@ -85,8 +84,7 @@ def evaluate(logits, thresholds: ThresholdVector, labels) -> ConfusionMatrix:
     against its label into a confusion matrix."""
     logits, labels = np.asarray(logits), np.asarray(labels)
     gold, m = _gold(logits, labels), logits.shape[1]
-    preds = [predict_open(row, thresholds) for row in class_probabilities(logits)]
-    return ConfusionMatrix.from_pairs(gold, [m if p.is_reject else p.class_index for p in preds], m)
+    return ConfusionMatrix.from_pairs(gold, open_predictions(class_probabilities(logits), thresholds), m)
 
 
 def evaluate_closed(logits, labels) -> ConfusionMatrix:

@@ -13,7 +13,7 @@ from .tensor import Tape, Tensor
 
 @dataclass(frozen=True)
 class OpenPrediction:
-    """Either a rejection or an accepted (class_index, probability) pair."""
+    """One row's open prediction: a rejection or an accepted (class_index, probability) pair."""
 
     class_index: int | None  # None means reject
     probability: float | None
@@ -100,19 +100,20 @@ def class_probabilities(logits: np.ndarray) -> np.ndarray:
     return _stable_sigmoid(np.asarray(logits, dtype=np.float64))
 
 
-def predict_open(probs, thresholds) -> OpenPrediction:
-    """Reject iff every probability is below its class threshold.
-
-    Otherwise the predicted class is the argmax over all classes (ties to the
-    lowest index), even if that class sits below its own per-class threshold.
-    ``thresholds`` is a ``ThresholdVector`` or a plain vector of thresholds.
-    """
+def open_predictions(probs, thresholds) -> np.ndarray:
+    """Each row's class under the open-world rule, for an (N, m) probability matrix:
+    m (reject) iff every probability is below its class threshold, else the
+    argmax over all classes (ties to the lowest index), even one below its own
+    threshold. ``thresholds`` is a ``ThresholdVector`` or a plain vector."""
     probs = np.asarray(probs, dtype=np.float64)
     thresholds = np.asarray(getattr(thresholds, "t", thresholds), dtype=np.float64)
-    if probs.shape != thresholds.shape:
+    if probs.ndim != 2 or probs.shape[1:] != thresholds.shape:
         raise ValueError("probs and thresholds must have the same length")
-    if not (probs >= thresholds).any():
-        return REJECT
-    idx = int(np.argmax(probs))
-    return OpenPrediction(class_index=idx, probability=float(probs[idx]))
+    return np.where((probs >= thresholds).any(axis=1), probs.argmax(axis=1), probs.shape[1])
 
+
+def predict_open(probs, thresholds) -> OpenPrediction:
+    """``open_predictions`` for one document's m probabilities."""
+    probs = np.asarray(probs, dtype=np.float64)
+    idx = int(open_predictions(probs[None], thresholds)[0])
+    return REJECT if idx == len(probs) else OpenPrediction(class_index=idx, probability=float(probs[idx]))

@@ -201,7 +201,7 @@ def load_model(path) -> TrainedModel:
         tensors = []
         for shape in param_shapes(cfg):
             payload = _read_section(fh)
-            expected = int(np.prod(shape)) * 8
+            expected = int(np.prod(shape, dtype=object)) * 8  # in Python ints, which never wrap
             if len(payload) != expected:
                 raise ModelFormatError(
                     f"parameter block of {len(payload)} bytes, expected {expected}"

@@ -6,12 +6,12 @@ max-over-time pooling that the encoder runs, dense layers, ReLU and
 concatenation. The fused op reads its input as a table of distinct token
 rows plus an index per position, so its work follows the distinct tokens in
 a batch, not its N*T windows; it stops each document's windows at the start
-of its final run of one repeated token, sums the windows of documents of
-similar length in cache-sized blocks (one document per block at the paper
-shapes), and on a non-recording tape it pools by max alone. Valid 1-D
-convolution and max-over-time
-pooling also exist as separate ops, the plain reference the fused op is
-tested against. All ops accept an optional leading batch dimension.
+of its final run of one repeated token (its PAD tail, the encoder's only
+trim), sums the windows of documents of similar length in cache-sized
+blocks (one document per block at the paper shapes), and on a non-recording
+tape it pools by max alone. Valid 1-D convolution and max-over-time pooling
+also exist as separate ops, the plain reference the fused op is tested
+against. All ops accept an optional leading batch dimension.
 Gradients are recorded on an explicit ``Tape`` and replayed in exact reverse
 execution order.
 """
@@ -178,12 +178,13 @@ def conv_max_pool(tape: Tape, inv, rows: Tensor, filters: Tensor, bias: Tensor) 
     only its first ``ends[n] = min(T, tail[n] + 1)`` windows, and the pooled
     values, the first-index argmax and every gradient are those of all T.
     The rule reads only ``inv``, so it holds whatever row the run repeats,
-    PAD or not. The sum runs over blocks of ``b = BLOCK // (T*F)`` documents
-    (at least one) in the order of their ``ends``, position-major, so one
-    block's (end, b*F) window sums fit in cache and are pooled along axis 0
-    in one call; a block runs to its largest ``end``, which is exact, as a
-    document's windows past its own end tie with the one at its ``tail``.
-    At the paper shapes T*F is near BLOCK, so b is 1; 30-60-token documents
+    PAD or not. The sum runs over blocks of ``b = BLOCK // (E*F)`` documents
+    (at least one; E is the batch's largest ``end``) in the order of their
+    ``ends``, position-major, so one block's (end, b*F) window sums fit in
+    cache and are pooled along axis 0 in one call; a block runs to its
+    largest ``end``, which is exact, as a document's windows past its own
+    end tie with the one at its ``tail``.
+    At the paper shapes E*F is near BLOCK, so b is 1; 30-60-token documents
     with 50 filters share a block ten at a time. On a non-recording tape
     the forward pools by ``max`` alone, the same element the argmax picks,
     and keeps no argmax. The backward scatters the pooled gradient to the
@@ -205,7 +206,7 @@ def conv_max_pool(tape: Tape, inv, rows: Tensor, filters: Tensor, bias: Tensor) 
     order = np.argsort(ends, kind="stable")
     ends = ends[order].tolist()
     by_pos = docs[order].T  # (L, N), documents sorted by ends
-    per_block = max(1, min(num_docs, BLOCK // max(1, steps * num_filters)))  # documents per block
+    per_block = max(1, min(num_docs, BLOCK // (max(ends, default=1) * num_filters)))  # documents per block
     q = rows.data @ filters.data.transpose(1, 2, 0)  # (w, U, F): q[j] = rows @ filters[:, j].T
     cols = np.arange(num_filters)
     lanes = np.arange(per_block * num_filters)  # one block's (document, filter) pairs

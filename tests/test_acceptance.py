@@ -37,7 +37,7 @@ from opentc.evaluation import (
     macro_f1,
     run_experiment,
 )
-from opentc.head import ovr_loss, predict_open
+from opentc.head import open_predictions, ovr_loss
 from opentc.synthetic import generate_synthetic_dataset
 from opentc.tensor import Tape, Tensor, grad_check
 from opentc.trainer import ModelSpec, TrainConfig, train
@@ -152,10 +152,10 @@ def test_criterion_3_predict_open_oracle(capsys):
             j = int(rng.integers(0, m))
             probs[j] = min(1.0, thresholds[j] + rng.uniform(0, 0.2))
         reject = all(p < t for p, t in zip(probs, thresholds))
-        want = None if reject else max(range(m), key=lambda i: probs[i])
-        got = predict_open(probs, thresholds).class_index
+        want = m if reject else max(range(m), key=lambda i: probs[i])
+        got = open_predictions(probs[None], thresholds)[0]
         agree = agree and got == want
-    _report(capsys, "3", "predict_open vs brute force, 10000 pairs", agree)
+    _report(capsys, "3", "open_predictions vs brute force, 10000 pairs", agree)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from opentc.calibration import fixed_thresholds
 from opentc.head import (
+    REJECT,
     OpenPrediction,
     class_probabilities,
+    open_predictions,
     ovr_loss,
     predict_open,
     softmax_loss,
@@ -62,6 +65,58 @@ def test_predict_open_tie_goes_to_lowest_index():
 def test_predict_open_length_mismatch():
     with pytest.raises(ValueError):
         predict_open([0.5, 0.5], [0.5])
+
+
+# On this grid ties, p == t and all-below rows are all common.
+GRID = np.array([0.2, 0.5, 0.7, 0.9])
+
+
+@pytest.mark.parametrize("on_grid", [False, True], ids=["uniform", "grid"])
+def test_open_predictions_against_brute_force_oracle(on_grid):
+    rng = np.random.default_rng(6)
+    for _ in range(1_000):
+        n, m = int(rng.integers(0, 12)), int(rng.integers(1, 6))
+        if on_grid:
+            probs, thresholds = rng.choice(GRID, size=(n, m)), rng.choice(GRID, size=m)
+        else:
+            probs, thresholds = rng.uniform(0, 1, size=(n, m)), rng.uniform(0.3, 1.0, size=m)
+        want = [brute_force_predict_open(row, thresholds) for row in probs]
+        got = open_predictions(probs, thresholds)
+        assert got.shape == (n,)
+        assert got.tolist() == [m if k is None else k for k in want]
+
+
+def test_open_predictions_corners_in_one_matrix():
+    probs = [
+        [0.7, 0.7, 0.1],  # a tie goes to the lowest index
+        [0.5, 0.1, 0.1],  # p == t clears the threshold
+        [0.49, 0.89, 0.0],  # every class below its threshold
+        [0.8, 0.9, 0.6],  # the argmax class sits below its own threshold
+        [0.5, 0.9, 0.3],  # every p == t
+    ]
+    thresholds = [0.5, 0.9, 0.3]
+    assert open_predictions(probs, thresholds).tolist() == [0, 0, 3, 1, 1]
+    assert open_predictions(probs, fixed_thresholds(3, 0.9)).tolist() == [3, 3, 3, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "shape, m", [((3, 2), 1), ((3, 2), 3), ((0, 2), 1), ((2,), 2)], ids=["short", "long", "no-rows", "one-row-vector"]
+)
+def test_open_predictions_length_mismatch(shape, m):
+    with pytest.raises(ValueError, match="same length"):
+        open_predictions(np.zeros(shape), np.full(m, 0.5))
+
+
+def test_predict_open_agrees_with_open_predictions_row_by_row():
+    # perfbench's predict reference reads predict_open's class_index and
+    # is_reject, so the one-row form must give the matrix rule's answers.
+    rng = np.random.default_rng(7)
+    probs, thresholds = rng.choice(GRID, size=(400, 4)), GRID[[1, 2, 3, 3]]
+    predicted = open_predictions(probs, thresholds)
+    assert set(predicted.tolist()) == {0, 1, 2, 3, 4}
+    for row, k in zip(probs, predicted.tolist()):
+        want = REJECT if k == 4 else OpenPrediction(class_index=k, probability=row[k])
+        assert predict_open(row, thresholds) == want
 
 
 def test_class_probabilities_matches_sigmoid():

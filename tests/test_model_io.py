@@ -156,6 +156,22 @@ def _rewrite_header(path, edit):
     path.write_bytes(path.read_bytes()[:8] + struct.pack("<Q", len(payload)) + payload + rest)
 
 
+def test_parameter_block_sizes_beyond_int64_are_refused(tmp_path, capsys):
+    # 2^40 x 2^40 embedding rows of 8 bytes wrap to 0 in int64 arithmetic, so
+    # an empty first parameter section must not pass for that block
+    path = tmp_path / "m.docm"
+    save_model(path, _model())
+    _rewrite_header(path, lambda h: h["config"].update(vocab_size=2**40, embed_dim=2**40))
+    _, rest = _header(path)
+    (vocab_size,) = struct.unpack("<Q", rest[:8])
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) - len(rest) + 8 + vocab_size] + struct.pack("<Q", 0))
+    with pytest.raises(ModelFormatError, match="parameter block of 0 bytes"):
+        load_model(path)
+    assert main(["inspect", "--model", str(path)]) == 2
+    assert "parameter block of 0 bytes" in capsys.readouterr().err
+
+
 def test_config_round_trip(tmp_path):
     path = tmp_path / "m.docm"
     save_model(path, _model())
