@@ -5,13 +5,11 @@ thresholds, and shows that held-out classes the model never saw are
 rejected while seen classes are still recognized.
 """
 
-import numpy as np
-
 from opentc.calibration import fit_thresholds, fixed_thresholds
-from opentc.encoder import batched_logits
+from opentc.encoder import ModelSpec, batched_logits
 from opentc.evaluation import evaluate, macro_f1
 from opentc.synthetic import generate_synthetic_dataset
-from opentc.trainer import ModelSpec, TrainConfig, train
+from opentc.trainer import TrainConfig, train
 
 docs = generate_synthetic_dataset(num_classes=6, docs_per_class=150, seed=0)
 spec = ModelSpec(
@@ -21,7 +19,7 @@ enc, vocab, cfg = spec.prepare(docs, seen_fraction=0.5, seed=0)
 print(f"seen classes:   {enc.seen_classes}")
 print(f"unseen classes: {enc.unseen_classes} (test-time only)")
 
-params, report = train(enc, cfg, TrainConfig(max_epochs=30, seed=0))
+params, report = train(enc, cfg, TrainConfig(epochs=30), seed=0)
 print(f"trained {len(report.train_losses)} epochs, best epoch {report.best_epoch}")
 
 thresholds = fit_thresholds(batched_logits(params, enc.train.ids), enc.train.labels, alpha=3.0)

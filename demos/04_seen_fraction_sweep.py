@@ -6,9 +6,10 @@ of classes visible at training time grows. Scaled down so it finishes in a
 couple of minutes; raise the knobs for a sharper picture.
 """
 
+from opentc.encoder import ModelSpec
 from opentc.evaluation import ExperimentSpec, run_experiment
 from opentc.synthetic import generate_synthetic_dataset
-from opentc.trainer import ModelSpec, TrainConfig
+from opentc.trainer import TrainConfig
 
 docs = generate_synthetic_dataset(num_classes=6, docs_per_class=150, seed=0)
 
@@ -19,7 +20,7 @@ spec = ExperimentSpec(
     model=ModelSpec(
         vocab_size=500, doc_len=80, embed_dim=24, filter_widths=(3, 4), filters_per_width=20, hidden_dim=40
     ),
-    train_config=TrainConfig(max_epochs=30, patience=5),
+    train_config=TrainConfig(epochs=30, patience=5),
 )
 
 result = run_experiment(spec, docs)

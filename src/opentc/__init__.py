@@ -20,7 +20,7 @@ from .data import (
     save_jsonl,
     tokenize,
 )
-from .encoder import EncoderConfig, ModelParams, batched_logits, forward, init_params
+from .encoder import EncoderConfig, ModelParams, ModelSpec, batched_logits, forward, init_params
 from .evaluation import (
     ConfusionMatrix,
     ExperimentSpec,
@@ -33,7 +33,7 @@ from .head import OpenPrediction, class_probabilities, open_predictions, predict
 from .model_io import TrainedModel, load_model, save_model
 from .synthetic import generate_synthetic_dataset
 from .tensor import Tape, Tensor, grad_check
-from .trainer import ModelSpec, TrainConfig, TrainReport, train
+from .trainer import TrainConfig, TrainReport, train
 
 __all__ = [
     "ConfusionMatrix",

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import islice
 from pathlib import Path
 
@@ -17,11 +18,11 @@ import numpy as np
 
 from .calibration import DEFAULT_ALPHA, CalibrationError, check_alpha, fit_thresholds, fixed_thresholds
 from .data import encode, encode_documents, load_jsonl, tokenize
-from .encoder import INFERENCE_CHUNK, batched_logits, init_params, load_pretrained_embeddings
+from .encoder import INFERENCE_CHUNK, ModelSpec, batched_logits, init_params, load_pretrained_embeddings
 from .evaluation import ExperimentSpec, run_experiment
 from .head import class_probabilities, open_predictions
-from .model_io import MAGIC, VERSION, TrainedModel, load_model, save_model
-from .trainer import HEAD_ONE_VS_REST, ModelSpec, TrainConfig, TrainingDivergedError, train
+from .model_io import MAGIC, VERSION, TrainedModel, atomic_write, load_model, save_model
+from .trainer import HEAD_ONE_VS_REST, TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,31 +46,19 @@ def _comma_separated(kind: type):
     return parse
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per ``ModelSpec`` field, named after it and defaulting to it."""
-    for f in fields(ModelSpec):
-        kind = _comma_separated(int) if f.name == "filter_widths" else int
+def _add_flags(p: argparse.ArgumentParser, cls: type) -> None:
+    """One flag per field of the dataclass ``cls``, named after it and
+    defaulting to it; a tuple field takes a comma-separated list."""
+    for f in fields(cls):
+        kind = type(f.default)
+        if kind is tuple:
+            kind = _comma_separated(type(f.default[0]))
         p.add_argument(f"--{f.name.replace('_', '-')}", type=kind, default=f.default)
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--patience", type=int, default=TrainConfig.patience)
-
-
-def _model_spec(args) -> ModelSpec:
-    return ModelSpec(**{f.name: getattr(args, f.name) for f in fields(ModelSpec)})
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        learning_rate=args.lr,
-        patience=args.patience,
-    )
+def _from_flags(cls: type, args):
+    """Inverse of ``_add_flags``: an instance of ``cls`` from the parsed flags."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _experiment_spec(args) -> ExperimentSpec:
@@ -78,18 +67,22 @@ def _experiment_spec(args) -> ExperimentSpec:
         repetitions=args.reps,
         base_seed=args.seed,
         alpha=args.alpha,
-        model=_model_spec(args),
-        train_config=_train_config(args),
+        model=_from_flags(ModelSpec, args),
+        train_config=_from_flags(TrainConfig, args),
     )
 
 
 def _check_output_paths(*paths) -> None:
-    """Refuse, before any training, an output path that is a directory or lies in a missing one."""
-    for path in (Path(p) for p in paths if p is not None):  # None is an unset --report; "" is "."
+    """Refuse, before any training, an output path that is a directory or lies
+    in a missing one, and two output paths that name the same file."""
+    outputs = [Path(p) for p in paths if p is not None]  # None is an unset --report; "" is "."
+    for path in outputs:
         if not path.parent.is_dir():
             raise FileNotFoundError(f"output directory does not exist: {path.parent}")
         if path.is_dir():
             raise IsADirectoryError(f"output path is a directory: {path}")
+    if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+        raise ValueError(f"output paths name the same file: {', '.join(map(str, outputs))}")
 
 
 def build_parser() -> _Parser:
@@ -99,14 +92,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a model from a JSONL dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seen-fraction", type=float, default=1.0)
     p.add_argument("--calibrate", action="store_true", help="fit thresholds after training")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--report", help="write the training report JSON here")
     p.add_argument("--pretrained", help="word-vector text file to initialize embeddings")
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_flags(p, ModelSpec)
+    _add_flags(p, TrainConfig)
 
     p = sub.add_parser("calibrate", help="fit per-class thresholds into a model file")
     p.add_argument("--model", required=True)
@@ -126,8 +119,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=ExperimentSpec.base_seed)
     p.add_argument("--alpha", type=float, default=ExperimentSpec.alpha)
     p.add_argument("--report", help="write the result JSON here")
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_flags(p, ModelSpec)
+    _add_flags(p, TrainConfig)
 
     p = sub.add_parser("inspect", help="print model file contents")
     p.add_argument("--model", required=True)
@@ -137,18 +130,18 @@ def build_parser() -> _Parser:
 
 def cmd_train(args) -> int:
     _check_output_paths(args.out, args.report)
+    spec, train_config = _from_flags(ModelSpec, args), _from_flags(TrainConfig, args)
     if args.calibrate:
         check_alpha(args.alpha)
-    train_config = replace(_train_config(args), seed=args.seed)
     docs = load_jsonl(args.data)
-    enc_split, vocab, cfg = _model_spec(args).prepare(docs, args.seen_fraction, args.seed)
+    enc_split, vocab, cfg = spec.prepare(docs, args.seen_fraction, args.seed)
     initial = None
     if args.pretrained is not None:
         initial = init_params(cfg, args.seed)
         with open(args.pretrained, "r", encoding="utf-8") as fh:
             n = load_pretrained_embeddings(initial, fh, vocab)
         print(f"pretrained vectors loaded for {n} tokens", file=sys.stderr)
-    params, report = train(enc_split, cfg, train_config, initial_params=initial)
+    params, report = train(enc_split, cfg, train_config, initial_params=initial, seed=args.seed)
 
     thresholds = None
     if args.calibrate:
@@ -162,7 +155,7 @@ def cmd_train(args) -> int:
     )
     save_model(args.out, model)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with atomic_write(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
     print(f"saved model to {args.out} (best epoch {report.best_epoch})")
     return EXIT_OK
@@ -224,7 +217,7 @@ def cmd_experiment(args) -> int:
     result = run_experiment(spec, docs)
     print(result.to_text())
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with atomic_write(args.report, "w", encoding="utf-8") as fh:
             fh.write(result.to_json() + "\n")
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 """CNN document encoder: embedding -> multi-width convolution + max pooling
 -> concatenation -> ReLU -> dense -> ReLU -> dense, producing one logit per
-seen class.
+seen class. ``ModelSpec`` is its shape, ``ModelSpec.prepare`` readies a
+corpus for it, and ``EncoderConfig`` is the shape of a built encoder.
 
 Each width's convolution and max-over-time pooling run as one fused op, and
 the ReLU follows the pooling: ``relu(max(c)) == max(relu(c))`` exactly, so
@@ -14,12 +15,12 @@ batch, not its documents times their length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Iterable
 
 import numpy as np
 
-from .data import decoded_lines
+from . import data
 from .tensor import PAD_ID, Tape, Tensor, concat, conv_max_pool, dense, embed_lookup, relu
 
 # Documents per inference forward: batched_logits and each predict chunk.
@@ -36,16 +37,15 @@ class EmbeddingFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
-    """The shape of a built encoder, filled in by ``ModelSpec.prepare`` or ``load_model``."""
+class ModelSpec:
+    """The encoder's shape, chosen before the data is seen, with the paper's defaults."""
 
-    vocab_size: int
-    embed_dim: int
-    num_classes: int
-    doc_len: int
-    filter_widths: tuple[int, ...]
-    filters_per_width: int
-    hidden_dim: int
+    vocab_size: int = 5000  # cap on the vocabulary, PAD and UNK included
+    doc_len: int = 200
+    embed_dim: int = 50
+    filter_widths: tuple[int, ...] = (3, 4, 5)
+    filters_per_width: int = 150
+    hidden_dim: int = 250
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
@@ -53,14 +53,38 @@ class EncoderConfig:
             raise ValueError("all dimensions must be >= 1")
         if self.filters_per_width < 1 or not self.filter_widths:
             raise ValueError("need at least one filter")
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
         if tuple(sorted(self.filter_widths)) != self.filter_widths:
             raise ValueError("filter_widths must be ascending")
         if self.filter_widths[0] < 1:
             raise ValueError("filter widths must be >= 1")
         if self.doc_len < max(self.filter_widths):
             raise ValueError("doc_len shorter than the widest filter")
+
+    def prepare(
+        self, docs: list[data.Document], seen_fraction: float, seed: int
+    ) -> tuple[data.OpenSplit, data.Vocabulary, EncoderConfig]:
+        """The one recipe from corpus to trainable split: split ``docs``, build
+        the vocabulary from the training split alone and encode every split.
+        The returned config has one embedding row per vocabulary id and one
+        output per seen class."""
+        raw = data.make_open_split(docs, seen_fraction, seed)
+        vocab = data.build_vocab_from_split(raw, self.vocab_size)
+        shape = {**asdict(self), "vocab_size": len(vocab)}
+        config = EncoderConfig(num_classes=len(raw.seen_classes), **shape)
+        return data.encode_open_split(raw, vocab, self.doc_len), vocab, config
+
+
+@dataclass(frozen=True, kw_only=True)
+class EncoderConfig(ModelSpec):
+    """The shape of a built encoder, filled in by ``ModelSpec.prepare`` or
+    ``load_model``: ``vocab_size`` counts its embedding rows."""
+
+    num_classes: int
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.num_classes < 2:
+            raise ValueError("need at least 2 classes")
 
     @property
     def pooled_dim(self) -> int:
@@ -174,7 +198,7 @@ def load_pretrained_embeddings(params: ModelParams, source: Iterable[str] | IO[s
     """
     e = params.config.embed_dim
     replaced = 0
-    for lineno, line in enumerate(decoded_lines(source, EmbeddingFormatError), start=1):
+    for lineno, line in enumerate(data.decoded_lines(source, EmbeddingFormatError), start=1):
         line = line.strip()
         if not line:
             continue

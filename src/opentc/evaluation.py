@@ -5,15 +5,15 @@ class) and the seen-fraction sweep with repeated random class choices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibration import DEFAULT_ALPHA, ThresholdVector, check_alpha, check_logit_matrix, fit_thresholds, fixed_thresholds
 from .data import Document
-from .encoder import batched_logits
+from .encoder import ModelSpec, batched_logits
 from .head import class_probabilities, open_predictions
-from .trainer import HEAD_ONE_VS_REST, HEAD_SOFTMAX, ModelSpec, TrainConfig, train
+from .trainer import HEAD_SOFTMAX, TrainConfig, train
 
 METHOD_DOC = "doc"
 METHOD_DOC_T05 = "doc_t0.5"
@@ -38,10 +38,6 @@ class ConfusionMatrix:
         if ((pairs < 0) | (pairs >= n)).any():
             raise ValueError(f"class index out of range [0, {n})")
         return cls(np.bincount(pairs[0] * n + pairs[1], minlength=n * n).reshape(n, n), num_seen)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -96,10 +92,8 @@ def evaluate_closed(logits, labels) -> ConfusionMatrix:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """The sweep: per seen fraction, ``repetitions`` runs, each preparing its
-    own split with ``model`` and training under ``train_config``.
-
-    Each run trains both heads with a seed derived from ``base_seed``, so a
-    ``train_config`` whose ``seed`` or ``head`` is set is refused."""
+    own split with ``model`` and training both heads under ``train_config``
+    with a seed derived from ``base_seed``."""
 
     seen_fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
     repetitions: int = 10
@@ -117,9 +111,6 @@ class ExperimentSpec:
         if len(set(self.seen_fractions)) != len(self.seen_fractions):
             raise ValueError(f"seen fractions must be distinct, got {list(self.seen_fractions)}")
         check_alpha(self.alpha)
-        for name in ("seed", "head"):
-            if getattr(self.train_config, name) != getattr(TrainConfig, name):
-                raise ValueError(f"train_config.{name} is set per run; leave it at its default")
 
 
 @dataclass
@@ -131,8 +122,8 @@ class ExperimentResult:
     runs: dict  # (method, fraction) -> list of per-repetition macro-F1
     summary: dict  # (method, fraction) -> (mean, std)
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "fractions": self.fractions,
             "methods": self.methods,
             "runs": {
@@ -142,10 +133,7 @@ class ExperimentResult:
                 f"{meth}@{frac}": {"mean": mean, "std": std}
                 for (meth, frac), (mean, std) in sorted(self.summary.items())
             },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        }, sort_keys=True)
 
     def to_text(self) -> str:
         """Aligned table: rows = methods, columns = seen fractions."""
@@ -181,10 +169,8 @@ def run_single(
     enc_split, _, enc_cfg = spec.model.prepare(docs, fraction, split_seed)
     train_docs, test_docs = enc_split.train, enc_split.test
 
-    doc_cfg = replace(spec.train_config, seed=train_seed, head=HEAD_ONE_VS_REST)
-    doc_params, _ = train(enc_split, enc_cfg, doc_cfg)
-    sm_cfg = replace(spec.train_config, seed=train_seed, head=HEAD_SOFTMAX)
-    sm_params, _ = train(enc_split, enc_cfg, sm_cfg)
+    doc_params, _ = train(enc_split, enc_cfg, spec.train_config, seed=train_seed)
+    sm_params, _ = train(enc_split, enc_cfg, spec.train_config, seed=train_seed, head=HEAD_SOFTMAX)
 
     # one forward per (model, split); both DOC methods score the same test logits
     thresholds = fit_thresholds(batched_logits(doc_params, train_docs.ids), train_docs.labels, spec.alpha)

@@ -4,7 +4,8 @@ Layout: magic "DOCM", u32 version, then length-prefixed sections (u64 little
 endian byte counts): header JSON (encoder config, head kind, class names,
 optional threshold block), vocabulary JSON (tokens in id order), and one raw
 float64 little-endian block per parameter tensor in ``ModelParams.all_tensors``
-order. Round trips are byte-identical, and a save replaces the file atomically.
+order. Round trips are byte-identical, and a save replaces the file atomically
+(``atomic_write``, which the CLI's JSON reports use too).
 
 A version-1 file loads if its head is ``"one_vs_rest"`` (the only head a
 save writes) and its config, if it still carries ``relu_after_conv``, has it
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -120,6 +122,21 @@ def _check_model(model: TrainedModel) -> None:
         raise ModelFormatError("thresholds sigma and alpha must be non-negative")
 
 
+@contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Yield a file handle to a temporary file beside ``path`` and rename it
+    over ``path`` once the block succeeds; on any failure, the rename's
+    included, ``path`` keeps its old contents and the temporary file is removed."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
+
+
 def save_model(path, model: TrainedModel) -> None:
     """Write ``model`` atomically, after the checks that ``load_model`` applies."""
     _check_tokens(model.vocab.tokens)
@@ -136,19 +153,13 @@ def save_model(path, model: TrainedModel) -> None:
             "t": model.thresholds.t.tolist(),
         },
     }
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            _write_section(fh, json.dumps(header, sort_keys=True).encode("utf-8"))
-            _write_section(fh, json.dumps(model.vocab.tokens).encode("utf-8"))
-            for t in model.params.all_tensors():
-                _write_section(fh, np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write failed before the rename
-            os.remove(tmp)
+    with atomic_write(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        _write_section(fh, json.dumps(header, sort_keys=True).encode("utf-8"))
+        _write_section(fh, json.dumps(model.vocab.tokens).encode("utf-8"))
+        for t in model.params.all_tensors():
+            _write_section(fh, np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def _field(record, key: str, kind: type):

@@ -1,5 +1,5 @@
-"""From corpus to model: ``ModelSpec.prepare`` readies a corpus for training,
-then mini-batch gradient training with validation-based early stopping.
+"""Mini-batch gradient training of a prepared split (``ModelSpec.prepare``)
+with validation-based early stopping.
 
 The objective is the summed one-vs-rest log loss (or the softmax baseline
 loss); each optimizer step divides by the batch size so the learning rate is
@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import data
-from .data import Document, EncodedDocs, OpenSplit, Vocabulary
+from .data import EncodedDocs, OpenSplit
 from .encoder import EncoderConfig, ModelParams, batched_logits, forward, init_params
 from .head import ovr_loss, softmax_loss
 from .tensor import Tape, Tensor
@@ -37,46 +36,19 @@ class TrainingDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    """What is chosen before the data is seen, with the paper's defaults."""
-
-    vocab_size: int = 5000  # cap on the vocabulary, PAD and UNK included
-    doc_len: int = 200
-    embed_dim: int = 50
-    filter_widths: tuple[int, ...] = (3, 4, 5)
-    filters_per_width: int = 150
-    hidden_dim: int = 250
-
-    def prepare(
-        self, docs: list[Document], seen_fraction: float, seed: int
-    ) -> tuple[OpenSplit, Vocabulary, EncoderConfig]:
-        """The one recipe from corpus to trainable split: split ``docs``, build
-        the vocabulary from the training split alone and encode every split.
-        The returned config has one embedding row per vocabulary id and one
-        output per seen class."""
-        raw = data.make_open_split(docs, seen_fraction, seed)
-        vocab = data.build_vocab_from_split(raw, self.vocab_size)
-        shape = {**asdict(self), "vocab_size": len(vocab)}
-        config = EncoderConfig(num_classes=len(raw.seen_classes), **shape)
-        return data.encode_open_split(raw, vocab, self.doc_len), vocab, config
-
-
-@dataclass(frozen=True)
 class TrainConfig:
+    """The training recipe, shared by every run; each field is the CLI flag of its name."""
+
+    epochs: int = 20
     batch_size: int = 64
-    max_epochs: int = 20
-    learning_rate: float = 1e-3
+    lr: float = 1e-3
     patience: int = 3
-    seed: int = 0
-    head: str = HEAD_ONE_VS_REST
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size, patience and max_epochs must be >= 1")
-        if not 0 <= self.learning_rate < np.inf:  # also false for NaN
-            raise ValueError(f"learning_rate must be non-negative and finite, got {self.learning_rate}")
-        if self.head not in _LOSS_FNS:
-            raise ValueError(f"unknown head {self.head!r}")
+        if self.batch_size < 1 or self.patience < 1 or self.epochs < 1:
+            raise ValueError("batch_size, patience and epochs must be >= 1")
+        if not 0 <= self.lr < np.inf:  # also false for NaN
+            raise ValueError(f"lr must be non-negative and finite, got {self.lr}")
 
 
 @dataclass
@@ -86,11 +58,8 @@ class TrainReport:
     best_epoch: int = 0
     stopped_early: bool = False
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 class AdamState:
@@ -115,10 +84,10 @@ class AdamState:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
-            tensor.data -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+            tensor.data -= cfg.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
-def training_step(params: ModelParams, batch: EncodedDocs, cfg: TrainConfig, opt: AdamState) -> float:
+def training_step(params: ModelParams, batch: EncodedDocs, cfg: TrainConfig, opt: AdamState, head: str) -> float:
     """One forward/backward/update cycle; returns pre-update loss / batch size."""
     if not batch:
         raise ValueError("empty batch")
@@ -126,7 +95,7 @@ def training_step(params: ModelParams, batch: EncodedDocs, cfg: TrainConfig, opt
         raise ValueError("unseen-class document in a training batch")
     tape = Tape()
     logits = forward(params, batch.ids, tape)
-    loss = _LOSS_FNS[cfg.head](tape, logits, batch.labels)
+    loss = _LOSS_FNS[head](tape, logits, batch.labels)
     for p in params.all_tensors():
         p.zero_grad()
     tape.backward(loss)
@@ -145,14 +114,19 @@ def train(
     enc_config: EncoderConfig,
     cfg: TrainConfig,
     initial_params: ModelParams | None = None,
+    *,
+    seed: int = 0,
+    head: str = HEAD_ONE_VS_REST,
 ) -> tuple[ModelParams, TrainReport]:
-    """Train on the encoded split; returns the best-validation-epoch parameters.
+    """Train ``head`` on the encoded split; returns the best-validation-epoch parameters.
 
     Deterministic given the seed: one full permutation per epoch drawn from a
     seed derived as (seed, epoch), fixed batch boundaries. Early-stops after
     ``patience`` epochs without validation improvement. When the validation
     split is empty the training loss drives model selection instead.
     """
+    if head not in _LOSS_FNS:
+        raise ValueError(f"unknown head {head!r}")
     train_docs = split.train
     if not train_docs:
         raise ValueError("empty training split")
@@ -160,26 +134,26 @@ def train(
     if missing:
         raise ValueError(f"seen classes absent from training split: {sorted(missing)}")
 
-    params = init_params(enc_config, cfg.seed) if initial_params is None else initial_params.copy()
+    params = init_params(enc_config, seed) if initial_params is None else initial_params.copy()
     opt = AdamState(params.all_tensors())
 
     report = TrainReport()
     best: ModelParams | None = None
 
-    for epoch in range(cfg.max_epochs):
-        perm = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_docs))
+    for epoch in range(cfg.epochs):
+        perm = np.random.default_rng((seed, epoch)).permutation(len(train_docs))
         epoch_total = 0.0
         for bi, start in enumerate(range(0, len(train_docs), cfg.batch_size)):
             rows = perm[start : start + cfg.batch_size]
             batch = EncodedDocs(train_docs.ids[rows], train_docs.labels[rows])
-            loss = training_step(params, batch, cfg, opt)
+            loss = training_step(params, batch, cfg, opt, head)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, bi)
             epoch_total += loss * len(batch)
         report.train_losses.append(epoch_total / len(train_docs))
 
         if split.validation:
-            val = evaluate_loss(params, split.validation, cfg.head)
+            val = evaluate_loss(params, split.validation, head)
         else:
             val = report.train_losses[-1]
         if not np.isfinite(val):

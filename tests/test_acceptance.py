@@ -28,7 +28,7 @@ import pytest
 
 from opentc.calibration import fit_sigma, fit_thresholds, fixed_thresholds
 from opentc.data import build_vocab_from_split, encode_open_split, make_open_split
-from opentc.encoder import EncoderConfig, batched_logits, init_params, forward
+from opentc.encoder import EncoderConfig, ModelSpec, batched_logits, init_params, forward
 from opentc.evaluation import (
     ConfusionMatrix,
     ExperimentSpec,
@@ -40,7 +40,7 @@ from opentc.evaluation import (
 from opentc.head import open_predictions, ovr_loss
 from opentc.synthetic import generate_synthetic_dataset
 from opentc.tensor import Tape, Tensor, grad_check
-from opentc.trainer import ModelSpec, TrainConfig, train
+from opentc.trainer import TrainConfig, train
 from opentc.cli import main as cli_main
 
 
@@ -217,7 +217,7 @@ _SPEC_KW = dict(
         hidden_dim=100,
     ),
 )
-_TRAIN = TrainConfig(max_epochs=12, patience=3, batch_size=64)
+_TRAIN = TrainConfig(epochs=12, patience=3, batch_size=64)
 
 
 @pytest.fixture(scope="module")
@@ -269,10 +269,7 @@ def test_criterion_8_closed_world_sanity(capsys, corpus):
     enc, _, cfg = _SPEC_KW["model"].prepare(corpus, seen_fraction=1.0, seed=0)
     scores = {}
     for head in ("one_vs_rest", "softmax"):
-        train_cfg = TrainConfig(
-            max_epochs=12, patience=3, batch_size=64, seed=0, head=head
-        )
-        params, _ = train(enc, cfg, train_cfg)
+        params, _ = train(enc, cfg, _TRAIN, seed=0, head=head)
         scores[head] = macro_f1(evaluate_closed(batched_logits(params, enc.test.ids), enc.test.labels))
     _report(
         capsys,
@@ -297,7 +294,7 @@ def test_criterion_6_clamp_equivalence(capsys):
     cfg = EncoderConfig(
         vocab_size=300, embed_dim=16, num_classes=2, doc_len=60, filter_widths=(3,), filters_per_width=8, hidden_dim=16
     )
-    params, _ = train(enc, cfg, TrainConfig(max_epochs=5, seed=0))
+    params, _ = train(enc, cfg, TrainConfig(epochs=5), seed=0)
 
     huge_alpha = fit_thresholds(batched_logits(params, enc.train.ids), enc.train.labels, alpha=1e9)
     test_logits = batched_logits(params, enc.test.ids)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opentc.calibration import fit_thresholds
-from opentc.cli import _experiment_spec, _model_spec, _train_config, build_parser, main
+from opentc.cli import _experiment_spec, _from_flags, build_parser, main
 from opentc.data import Document, encode, load_jsonl, save_jsonl, tokenize
-from opentc.encoder import INFERENCE_CHUNK, forward
+from opentc.encoder import INFERENCE_CHUNK, ModelSpec, forward
 from opentc.evaluation import ExperimentSpec
 from opentc.head import class_probabilities, predict_open
 from opentc.model_io import load_model
 from opentc.synthetic import generate_synthetic_dataset
-from opentc.trainer import ModelSpec, TrainConfig
+from opentc.trainer import TrainConfig, train
 
 
 FAST_FLAGS = [
@@ -482,30 +483,93 @@ def test_malformed_comma_separated_flag_is_a_usage_error(argv, capsys):
     assert "invalid comma-separated" in capsys.readouterr().err
 
 
-def test_flag_defaults_are_the_dataclass_defaults():
+def _non_default(value):
+    """A flag value other than ``value``, and the field value it parses to."""
+    if isinstance(value, tuple):
+        other = tuple(v + 1 for v in value)
+        return ",".join(map(str, other)), other
+    other = value * 2 if isinstance(value, float) else value + 1
+    return str(other), other
+
+
+def test_generated_flags_round_trip():
     parser = build_parser()
-    args = parser.parse_args(["train", "--data", "d.jsonl", "--out", "m.docm"])
-    assert _model_spec(args) == ModelSpec()
-    assert _train_config(args) == TrainConfig()
+    train_argv, experiment_argv = ["train", "--data", "d.jsonl", "--out", "m.docm"], ["experiment", "--data", "d.jsonl"]
+    args = parser.parse_args(train_argv)
+    assert _from_flags(ModelSpec, args) == ModelSpec()
+    assert _from_flags(TrainConfig, args) == TrainConfig()
     assert args.alpha == inspect.signature(fit_thresholds).parameters["alpha"].default
+    assert args.seed == inspect.signature(train).parameters["seed"].default
     args = parser.parse_args(["calibrate", "--model", "m.docm", "--data", "d.jsonl"])
     assert args.alpha == inspect.signature(fit_thresholds).parameters["alpha"].default
-    args = parser.parse_args(["experiment", "--data", "d.jsonl"])
-    assert _experiment_spec(args) == ExperimentSpec()
-    args = parser.parse_args(["experiment", "--data", "d.jsonl", "--seed", "5"])
-    assert _experiment_spec(args) == ExperimentSpec(base_seed=5)
+    assert _experiment_spec(parser.parse_args(experiment_argv)) == ExperimentSpec()
+    assert _experiment_spec(parser.parse_args([*experiment_argv, "--seed", "5"])) == ExperimentSpec(base_seed=5)
+    for cls, part in [(ModelSpec, "model"), (TrainConfig, "train_config")]:
+        for f in fields(cls):
+            text, want = _non_default(f.default)
+            flag = f"--{f.name.replace('_', '-')}"
+            assert getattr(_from_flags(cls, parser.parse_args([*train_argv, flag, text])), f.name) == want
+            spec = _experiment_spec(parser.parse_args([*experiment_argv, flag, text]))
+            assert getattr(getattr(spec, part), f.name) == want
 
 
-def test_train_seed_reaches_the_train_config(dataset, tmp_path, monkeypatch):
-    configs = []
+def test_train_seed_reaches_the_seed_argument(dataset, tmp_path, monkeypatch):
+    calls = []
 
-    def stop(split, enc_cfg, config, initial_params=None):
-        configs.append(config)
+    def stop(split, enc_cfg, config, *, initial_params=None, **kwargs):
+        calls.append((config, kwargs))
         raise ValueError("stopped before training")
 
     monkeypatch.setattr("opentc.cli.train", stop)
     assert main(["train", "--data", dataset, "--out", str(tmp_path / "m.docm"), "--seed", "7", *FAST_FLAGS]) == 2
-    assert configs == [TrainConfig(batch_size=32, max_epochs=3, seed=7)]
+    assert calls == [(TrainConfig(batch_size=32, epochs=3), {"seed": 7})]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["train", "--out", "{tmp}/m.docm", "--filter-widths", "0"], "filter widths must be >= 1"),
+        (["experiment", "--filter-widths", "2,1"], "filter_widths must be ascending"),
+    ],
+    ids=["train", "experiment"],
+)
+def test_shape_error_comes_before_the_data_file(argv, error, tmp_path, capsys):
+    command, *flags = argv
+    assert main([command, "--data", str(tmp_path / "missing.jsonl"), *[f.format(tmp=tmp_path) for f in flags]]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("report", ["{tmp}/m.docm", "{tmp}/./sub/../m.docm"], ids=["same", "same-file-other-name"])
+def test_train_refuses_one_path_for_model_and_report(report, dataset, tmp_path, capsys, no_training):
+    (tmp_path / "sub").mkdir()
+    argv = ["train", "--data", dataset, "--out", str(tmp_path / "m.docm"), "--report", report.format(tmp=tmp_path)]
+    assert main([*argv, *FAST_FLAGS]) == 2
+    assert "output paths name the same file" in capsys.readouterr().err
+    assert not (tmp_path / "m.docm").exists()
+
+
+@pytest.mark.parametrize("target", ["model", "train-report", "experiment-report"])
+def test_failed_rename_keeps_the_previous_file(target, dataset, tmp_path, monkeypatch, capsys):
+    out, report = tmp_path / "m.docm", tmp_path / "report.json"
+    command, *flags = {
+        "model": ["train", "--out", str(out)],
+        "train-report": ["train", "--out", str(out), "--report", str(report)],
+        "experiment-report": ["experiment", "--fractions", "1.0", "--reps", "1", "--report", str(report)],
+    }[target]
+    path = out if target == "model" else report
+    path.write_bytes(b"previous")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.fspath(dst) == str(path):
+            raise OSError("rename failed")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main([command, "--data", dataset, *flags, *FAST_FLAGS]) == 2
+    assert "rename failed" in capsys.readouterr().err
+    assert path.read_bytes() == b"previous"
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("flag", ["--doc-len", "--embed-dim", "--filters-per-width", "--hidden-dim"])

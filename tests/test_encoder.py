@@ -1,4 +1,4 @@
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from opentc.encoder import (
     EmbeddingFormatError,
     EncoderConfig,
     ModelParams,
+    ModelSpec,
     batched_logits,
     forward,
     init_params,
@@ -30,7 +31,6 @@ from opentc.tensor import (
 )
 from opentc import encoder
 from opentc.synthetic import generate_synthetic_dataset
-from opentc.trainer import ModelSpec
 
 
 CFG = EncoderConfig(
@@ -83,7 +83,7 @@ def test_forward_batched_matches_per_doc():
 
 
 def test_forward_is_bit_identical_to_the_unfused_chain_at_paper_shapes():
-    cfg = EncoderConfig(num_classes=5, **asdict(ModelSpec()))
+    cfg = EncoderConfig(num_classes=5)  # the paper's shape
     rng = np.random.default_rng(3)
     params = init_params(cfg, rng)
     for b in params.conv_biases:  # push some pooled maxima below zero so the ReLU cuts
@@ -209,6 +209,33 @@ def test_doc_shorter_than_widest_filter_rejected_at_config_time():
             filters_per_width=2,
             hidden_dim=3,
         )
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"embed_dim": 0},
+        {"filters_per_width": 0},
+        {"filter_widths": ()},
+        {"filter_widths": (2, 1)},
+        {"filter_widths": (0, 2)},
+        {"doc_len": 2, "filter_widths": (3,)},
+    ],
+    ids=["embed-dim", "filters-per-width", "no-widths", "descending", "width-0", "short-doc"],
+)
+def test_a_spec_and_a_config_refuse_the_same_shapes(shape):
+    with pytest.raises(ValueError) as spec_error:
+        ModelSpec(**shape)
+    with pytest.raises(ValueError) as config_error:
+        EncoderConfig(num_classes=2, **shape)
+    assert str(config_error.value) == str(spec_error.value)
+
+
+def test_a_config_is_a_spec_with_at_least_two_classes():
+    assert EncoderConfig(num_classes=2, doc_len=9, filter_widths=[2, 3]).filter_widths == (2, 3)
+    assert isinstance(EncoderConfig(num_classes=2), ModelSpec)
+    with pytest.raises(ValueError, match="at least 2 classes"):
+        EncoderConfig(num_classes=1)
 
 
 def test_load_pretrained_embeddings():
@@ -350,7 +377,7 @@ def test_forward_is_permutation_invariant_at_sweep_shapes(monkeypatch):
     docs = generate_synthetic_dataset(docs_per_class=100, seed=3)
     vocab = Vocabulary.build([tokenize(d.text) for d in docs], 500)
     ids = encode_documents(docs[::7][:96], vocab, 200, ["c0"]).ids
-    cfg = EncoderConfig(num_classes=4, **asdict(replace(ModelSpec(), vocab_size=500, filters_per_width=50, hidden_dim=100)))
+    cfg = EncoderConfig(num_classes=4, vocab_size=500, filters_per_width=50, hidden_dim=100)
     params = init_params(cfg, np.random.default_rng(27))
     perm = np.random.default_rng(27).permutation(len(ids))
     for tape in (Tape(record=False), Tape()):

@@ -5,6 +5,7 @@ from opentc.data import EncodedDocs, OpenSplit
 from opentc.encoder import EncoderConfig, init_params
 from opentc.trainer import (
     ADAM_EPS,
+    HEAD_ONE_VS_REST,
     AdamState,
     TrainConfig,
     TrainingDivergedError,
@@ -39,17 +40,20 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     for lr in (-1e-3, np.nan, np.inf):
         with pytest.raises(ValueError):
-            TrainConfig(learning_rate=lr)
-    with pytest.raises(ValueError):
-        TrainConfig(head="nope")
-    TrainConfig(learning_rate=0.0)  # allowed: a no-op optimizer is legal
+            TrainConfig(lr=lr)
+    TrainConfig(lr=0.0)  # allowed: a no-op optimizer is legal
+
+
+def test_unknown_head_is_refused_before_any_work():
+    empty = OpenSplit(train=[], validation=[], test=[], seen_classes=[], unseen_classes=[])
+    with pytest.raises(ValueError, match="unknown head 'nope'"):  # not the empty split's error
+        train(empty, CFG, TrainConfig(), head="nope")
 
 
 def test_zero_learning_rate_leaves_params_unchanged():
     rng = np.random.default_rng(0)
     split = _split(rng)
-    cfg = TrainConfig(learning_rate=0.0, max_epochs=2, seed=1)
-    params, _ = train(split, CFG, cfg)
+    params, _ = train(split, CFG, TrainConfig(lr=0.0, epochs=2), seed=1)
     fresh = init_params(CFG, 1)
     for a, b in zip(params.all_tensors(), fresh.all_tensors()):
         assert np.array_equal(a.data, b.data)
@@ -58,19 +62,17 @@ def test_zero_learning_rate_leaves_params_unchanged():
 def test_training_reduces_loss():
     rng = np.random.default_rng(1)
     split = _split(rng)
-    cfg = TrainConfig(max_epochs=30, seed=0, batch_size=16)
-    params, report = train(split, CFG, cfg)
+    params, report = train(split, CFG, TrainConfig(epochs=30, batch_size=16), seed=0)
     assert report.train_losses[-1] < report.train_losses[0] - 0.1
     # 2-class OVR chance level is 2*log(2) per example
-    assert evaluate_loss(params, split.validation, cfg.head) < np.log(2) * 2
+    assert evaluate_loss(params, split.validation, HEAD_ONE_VS_REST) < np.log(2) * 2
 
 
 def test_training_deterministic():
     rng = np.random.default_rng(2)
     split = _split(rng)
-    cfg = TrainConfig(max_epochs=3, seed=5)
-    a, ra = train(split, CFG, cfg)
-    b, rb = train(split, CFG, cfg)
+    a, ra = train(split, CFG, TrainConfig(epochs=3), seed=5)
+    b, rb = train(split, CFG, TrainConfig(epochs=3), seed=5)
     for ta, tb in zip(a.all_tensors(), b.all_tensors()):
         assert np.array_equal(ta.data, tb.data)
     assert ra.to_json() == rb.to_json()
@@ -79,16 +81,15 @@ def test_training_deterministic():
 def test_different_seed_different_params():
     rng = np.random.default_rng(3)
     split = _split(rng)
-    a, _ = train(split, CFG, TrainConfig(max_epochs=2, seed=0))
-    b, _ = train(split, CFG, TrainConfig(max_epochs=2, seed=1))
+    a, _ = train(split, CFG, TrainConfig(epochs=2), seed=0)
+    b, _ = train(split, CFG, TrainConfig(epochs=2), seed=1)
     assert any(not np.array_equal(ta.data, tb.data) for ta, tb in zip(a.all_tensors(), b.all_tensors()))
 
 
 def test_softmax_head_trains():
     rng = np.random.default_rng(4)
     split = _split(rng)
-    cfg = TrainConfig(max_epochs=8, seed=0, head="softmax")
-    params, report = train(split, CFG, cfg)
+    params, report = train(split, CFG, TrainConfig(epochs=8), seed=0, head="softmax")
     assert report.train_losses[-1] < report.train_losses[0]
 
 
@@ -96,8 +97,7 @@ def test_early_stopping_reports():
     rng = np.random.default_rng(5)
     split = _split(rng, n_per_class=10)
     # lr=0 means validation never improves after epoch 0 -> stop at patience
-    cfg = TrainConfig(learning_rate=0.0, max_epochs=50, patience=2, seed=0)
-    _, report = train(split, CFG, cfg)
+    _, report = train(split, CFG, TrainConfig(lr=0.0, epochs=50, patience=2), seed=0)
     assert report.stopped_early
     assert len(report.train_losses) == 3  # epoch 0 best, two bad epochs
     assert report.best_epoch == 0
@@ -107,11 +107,10 @@ def test_best_epoch_params_returned():
     # the returned parameters correspond to the epoch with the lowest val loss
     rng = np.random.default_rng(6)
     split = _split(rng)
-    cfg = TrainConfig(max_epochs=6, seed=0)
-    params, report = train(split, CFG, cfg)
+    params, report = train(split, CFG, TrainConfig(epochs=6), seed=0)
     best = min(range(len(report.val_losses)), key=report.val_losses.__getitem__)
     assert report.best_epoch == best
-    got = evaluate_loss(params, split.validation, cfg.head)
+    got = evaluate_loss(params, split.validation, HEAD_ONE_VS_REST)
     assert abs(got - report.val_losses[best]) < 1e-9
 
 
@@ -121,7 +120,7 @@ def test_empty_validation_falls_back_to_train_loss():
     split.validation = EncodedDocs(
         ids=np.empty((0, CFG.doc_len), dtype=np.int64), labels=np.empty(0, dtype=np.int64)
     )
-    params, report = train(split, CFG, TrainConfig(max_epochs=3, seed=0))
+    params, report = train(split, CFG, TrainConfig(epochs=3), seed=0)
     assert params is not None
     assert report.val_losses == report.train_losses
 
@@ -133,7 +132,7 @@ def test_unseen_label_in_training_batch_rejected():
     cfg = TrainConfig()
     opt = AdamState(params.all_tensors())
     with pytest.raises(ValueError):
-        training_step(params, bad, cfg, opt)
+        training_step(params, bad, cfg, opt, HEAD_ONE_VS_REST)
 
 
 def test_missing_class_in_train_split_rejected():
@@ -142,7 +141,7 @@ def test_missing_class_in_train_split_rejected():
     keep = split.train.labels == 0
     split.train = EncodedDocs(ids=split.train.ids[keep], labels=split.train.labels[keep])
     with pytest.raises(ValueError):
-        train(split, CFG, TrainConfig(max_epochs=1))
+        train(split, CFG, TrainConfig(epochs=1))
 
 
 def test_divergence_raises():
@@ -152,7 +151,7 @@ def test_divergence_raises():
     init.w_out.data[:] = 1e308  # first forward pass overflows to inf
     init.embedding.data[1:] = 1e30
     with pytest.raises(TrainingDivergedError) as exc_info, np.errstate(over="ignore", invalid="ignore"):
-        train(split, CFG, TrainConfig(max_epochs=2, seed=0), initial_params=init)
+        train(split, CFG, TrainConfig(epochs=2), initial_params=init, seed=0)
     assert exc_info.value.epoch == 0
 
 
@@ -161,7 +160,7 @@ def test_initial_params_used_and_not_mutated():
     split = _split(rng)
     init = init_params(CFG, 42)
     snapshot = [t.data.copy() for t in init.all_tensors()]
-    train(split, CFG, TrainConfig(max_epochs=1, seed=0), initial_params=init)
+    train(split, CFG, TrainConfig(epochs=1), initial_params=init, seed=0)
     for s, t in zip(snapshot, init.all_tensors()):
         assert np.array_equal(s, t.data)
 
@@ -169,7 +168,7 @@ def test_initial_params_used_and_not_mutated():
 def test_adam_single_step_matches_hand_computation():
     # one Adam step on a single scalar-ish parameter with known gradient
     t = Tensor(np.array([1.0]))
-    cfg = TrainConfig(learning_rate=0.1)
+    cfg = TrainConfig(lr=0.1)
     opt = AdamState([t])
     t.grad = np.array([2.0])
     opt.apply(cfg)
@@ -181,5 +180,5 @@ def test_adam_single_step_matches_hand_computation():
 def test_pad_row_stays_zero_through_training():
     rng = np.random.default_rng(13)
     split = _split(rng)
-    params, _ = train(split, CFG, TrainConfig(max_epochs=3, seed=0))
+    params, _ = train(split, CFG, TrainConfig(epochs=3), seed=0)
     np.testing.assert_array_equal(params.embedding.data[0], np.zeros(CFG.embed_dim))
