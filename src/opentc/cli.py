@@ -133,8 +133,8 @@ def cmd_train(args) -> int:
     spec, train_config = _from_flags(ModelSpec, args), _from_flags(TrainConfig, args)
     if args.calibrate:
         check_alpha(args.alpha)
-    docs = load_jsonl(args.data)
-    enc_split, vocab, cfg = spec.prepare(docs, args.seen_fraction, args.seed)
+    # the raw corpus is freed once prepare has encoded it
+    enc_split, vocab, cfg = spec.prepare(load_jsonl(args.data), args.seen_fraction, args.seed)
     initial = None
     if args.pretrained is not None:
         initial = init_params(cfg, args.seed)

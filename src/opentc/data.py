@@ -9,6 +9,7 @@ import json
 import re
 import string
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -58,7 +59,10 @@ class Vocabulary:
         self._ids = {tok: i + 2 for i, tok in enumerate(self._tokens)}
 
     @classmethod
-    def build(cls, token_docs: list[list[str]], max_size: int) -> "Vocabulary":
+    def build(cls, token_docs: Iterable[Iterable[str]], max_size: int) -> "Vocabulary":
+        """The ``max_size - 2`` most frequent tokens of ``token_docs``, any
+        iterable of token sequences: a generator is read once, one document
+        at a time, so only the counts outlive each document."""
         if max_size < 3:
             raise ValueError("max_size must be >= 3")
         counts = Counter()
@@ -104,14 +108,14 @@ def encode(tokens: list[str], vocab: Vocabulary, doc_len: int) -> np.ndarray:
 def encode_documents(
     docs: list[Document], vocab: Vocabulary, doc_len: int, seen_classes: list[str]
 ) -> EncodedDocs:
-    """Encode labelled documents; a label's position in ``seen_classes`` is
-    its label index, and a label missing from it gets UNSEEN."""
-    ids = [encode(tokenize(d.text), vocab, doc_len) for d in docs]
-    labels = [seen_classes.index(d.label) if d.label in seen_classes else UNSEEN for d in docs]
-    return EncodedDocs(
-        ids=np.array(ids, dtype=np.int64).reshape(len(docs), doc_len),
-        labels=np.array(labels, dtype=np.int64),
-    )
+    """Encode labelled documents into one (N, doc_len) matrix, row by row; a
+    label's position in ``seen_classes`` is its label index, and a label
+    missing from it gets UNSEEN."""
+    ids = np.empty((len(docs), doc_len), dtype=np.int64)
+    for row, d in zip(ids, docs):
+        row[:] = encode(tokenize(d.text), vocab, doc_len)
+    labels = (seen_classes.index(d.label) if d.label in seen_classes else UNSEEN for d in docs)
+    return EncodedDocs(ids=ids, labels=np.fromiter(labels, dtype=np.int64, count=len(docs)))
 
 
 @dataclass
@@ -177,8 +181,9 @@ def encode_open_split(split: OpenSplit, vocab: Vocabulary, doc_len: int) -> Open
 
 
 def build_vocab_from_split(split: OpenSplit, max_size: int) -> Vocabulary:
-    """Vocabulary from the training split only (no test leakage)."""
-    return Vocabulary.build([tokenize(d.text) for d in split.train], max_size)
+    """Vocabulary from the training split only (no test leakage), tokenized
+    one document at a time."""
+    return Vocabulary.build((tokenize(d.text) for d in split.train), max_size)
 
 
 def decoded_lines(stream, error: type[ValueError]):

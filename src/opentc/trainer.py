@@ -88,16 +88,19 @@ class AdamState:
 
 
 def training_step(params: ModelParams, batch: EncodedDocs, cfg: TrainConfig, opt: AdamState, head: str) -> float:
-    """One forward/backward/update cycle; returns pre-update loss / batch size."""
+    """One forward/backward/update cycle; returns pre-update loss / batch size.
+
+    The previous step's gradients are dropped first, so they are not held
+    alongside the forward's temporaries."""
     if not batch:
         raise ValueError("empty batch")
     if (batch.labels < 0).any():
         raise ValueError("unseen-class document in a training batch")
+    for p in params.all_tensors():
+        p.zero_grad()
     tape = Tape()
     logits = forward(params, batch.ids, tape)
     loss = _LOSS_FNS[head](tape, logits, batch.labels)
-    for p in params.all_tensors():
-        p.zero_grad()
     tape.backward(loss)
     opt.apply(cfg)
     return float(loss.data) / len(batch)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from opentc.data import (
     _TOKEN_RE,
     PAD_ID,
@@ -15,12 +16,14 @@ from opentc.data import (
     Vocabulary,
     build_vocab_from_split,
     encode,
+    encode_documents,
     encode_open_split,
     load_jsonl,
     make_open_split,
     save_jsonl,
     tokenize,
 )
+from opentc.synthetic import generate_synthetic_dataset
 
 
 def test_tokenize_lowercases_and_splits():
@@ -84,6 +87,24 @@ def test_vocab_max_size_keeps_most_frequent():
     assert v.id_for("a") is not None and v.id_for("b") is not None and v.id_for("c") is None
 
 
+def test_vocab_build_reads_any_iterable_of_token_sequences():
+    docs = [tokenize(d.text) for d in generate_synthetic_dataset(docs_per_class=20, seed=4)]
+    want = Vocabulary.build(docs, max_size=300).tokens
+    assert Vocabulary.build(iter(docs), max_size=300).tokens == want
+    assert Vocabulary.build((tuple(doc) for doc in docs), max_size=300).tokens == want
+
+
+def test_build_vocab_from_split_memory_follows_distinct_tokens():
+    # 2,400 training documents of 30-60 tokens, about 107k tokens of which
+    # 11k are distinct: the counts and their ranking take about 230 bytes a
+    # distinct token. Holding every document's token list at once, as a list
+    # of lists, peaks above 800 bytes a distinct token here.
+    split = make_open_split(generate_synthetic_dataset(docs_per_class=500, seed=5), 1.0, rep_seed=5)
+    assert len(split.train) >= 2000
+    distinct = len({tok for d in split.train for tok in tokenize(d.text)})
+    assert traced_peak(lambda: build_vocab_from_split(split, max_size=5000)) <= 320 * distinct + 64 * 1024
+
+
 def test_vocab_max_size_too_small():
     with pytest.raises(ValueError):
         Vocabulary.build([["a"]], max_size=2)
@@ -104,6 +125,23 @@ def test_encode_unk_truncate_pad():
     ids = encode(["owl", "cat", "dog", "cat", "dog"], v, doc_len=3)  # more than doc_len
     np.testing.assert_array_equal(ids, [UNK_ID, 2, 3])
     assert ids.dtype == np.int64 and ids.shape == (3,)
+
+
+def test_encode_documents_fills_one_matrix():
+    # The peak is the (N, doc_len) matrix plus 64 bytes a document: its
+    # label and one document's tokens at a time. A list of N row arrays
+    # before stacking would add over 100 bytes a document in array headers
+    # alone, besides the rows themselves.
+    docs = generate_synthetic_dataset(docs_per_class=125, doc_len_range=(150, 250), seed=6)
+    vocab = Vocabulary.build((tokenize(d.text) for d in docs[::2]), max_size=5000)
+    seen = ["c0", "c3", "c5"]
+    enc = encode_documents(docs, vocab, 200, seen)
+    want = np.stack([encode(tokenize(d.text), vocab, 200) for d in docs])
+    np.testing.assert_array_equal(enc.ids, want)
+    assert enc.ids.dtype == np.int64 and enc.labels.dtype == np.int64
+    assert enc.labels.tolist() == [seen.index(d.label) if d.label in seen else UNSEEN for d in docs]
+    assert encode_documents([], vocab, 200, seen).ids.shape == (0, 200)
+    assert traced_peak(lambda: encode_documents(docs, vocab, 200, seen)) <= want.nbytes + 64 * len(docs)
 
 
 def _toy_docs(num_classes=5, per_class=20):

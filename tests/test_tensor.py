@@ -1,10 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from opentc.data import Vocabulary, encode_documents, tokenize
 from opentc.encoder import INFERENCE_CHUNK
 from opentc import tensor
@@ -359,14 +358,7 @@ def test_conv_max_pool_backward_temporaries_are_bounded():
     tape = Tape()
     out = conv_max_pool(tape, inv.reshape(64, 200), rows, filters, bias)
     out.grad = rng.normal(size=out.shape)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tape._steps[0]()
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 64 * 200 * 50 * 8
+    assert traced_peak(tape._steps[0]) <= 4 * 64 * 200 * 50 * 8
 
 
 @settings(max_examples=80, deadline=None)
@@ -434,13 +426,7 @@ def test_conv_max_pool_inference_forward_memory_is_bounded():
     rng = np.random.default_rng(31)
     rows = Tensor(rng.normal(size=(len(uniq), 50)))
     filters, bias = Tensor(rng.normal(size=(150, 5, 50))), Tensor(rng.normal(size=150))
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        conv_max_pool(Tape(record=False), inv.reshape(ids.shape), rows, filters, bias)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: conv_max_pool(Tape(record=False), inv.reshape(ids.shape), rows, filters, bias))
     table, window_sums = 5 * len(uniq) * 150 * 8, (200 - 5 + 1) * 150 * 8
     assert peak <= table + 4 * window_sums
 
@@ -461,13 +447,7 @@ def test_conv_max_pool_inference_forward_memory_is_bounded_at_sweep_shapes():
     rows = Tensor(rng.normal(size=(len(uniq), 50)))
     for width in (3, 5):
         filters, bias = Tensor(rng.normal(size=(50, width, 50))), Tensor(rng.normal(size=50))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            conv_max_pool(Tape(record=False), inv.reshape(ids.shape), rows, filters, bias)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: conv_max_pool(Tape(record=False), inv.reshape(ids.shape), rows, filters, bias))
         assert peak <= width * len(uniq) * 50 * 8 + 2 * tensor.BLOCK * 8
 
 

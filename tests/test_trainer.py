@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import opentc.trainer
 from opentc.data import EncodedDocs, OpenSplit
 from opentc.encoder import EncoderConfig, init_params
 from opentc.trainer import (
@@ -182,3 +183,21 @@ def test_pad_row_stays_zero_through_training():
     split = _split(rng)
     params, _ = train(split, CFG, TrainConfig(epochs=3), seed=0)
     np.testing.assert_array_equal(params.embedding.data[0], np.zeros(CFG.embed_dim))
+
+
+def test_training_step_drops_the_previous_gradients_before_its_forward(monkeypatch):
+    params = init_params(CFG, 0)
+    opt = AdamState(params.all_tensors())
+    forward = opentc.trainer.forward
+    forwards = []
+
+    def checked_forward(p, ids, tape):
+        forwards.append([t.grad is None for t in p.all_tensors()])
+        return forward(p, ids, tape)
+
+    monkeypatch.setattr(opentc.trainer, "forward", checked_forward)
+    batch = _docs(np.random.default_rng(14), [0, 1, 1, 0])
+    for _ in range(2):
+        training_step(params, batch, TrainConfig(), opt, HEAD_ONE_VS_REST)
+        assert all(t.grad is not None for t in params.all_tensors())  # every parameter is on the loss path
+    assert forwards == [[True] * len(params.all_tensors())] * 2
