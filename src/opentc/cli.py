@@ -22,6 +22,7 @@ from .encoder import INFERENCE_CHUNK, ModelSpec, batched_logits, init_params, lo
 from .evaluation import ExperimentSpec, run_experiment
 from .head import class_probabilities, open_predictions
 from .model_io import MAGIC, VERSION, TrainedModel, atomic_write, load_model, save_model
+from .parallel import one_blas_thread
 from .trainer import HEAD_ONE_VS_REST, TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
@@ -253,9 +254,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command at one BLAS thread, so its output bytes do not depend
+    on the caller's thread count, which it gets back on return."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with one_blas_thread():
+            return _COMMANDS[args.command](args)
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -13,6 +13,7 @@ from .calibration import DEFAULT_ALPHA, ThresholdVector, check_alpha, check_logi
 from .data import Document
 from .encoder import ModelSpec, batched_logits
 from .head import class_probabilities, open_predictions
+from .parallel import forked, one_blas_thread
 from .trainer import HEAD_SOFTMAX, TrainConfig, train
 
 METHOD_DOC = "doc"
@@ -161,7 +162,9 @@ def run_single(
     """One repetition: split, train both heads, calibrate, score all methods.
 
     Every method within a repetition shares the same class subset and data
-    split, so the comparison is paired.
+    split, so the comparison is paired. It runs at one BLAS thread, so its
+    scores are the same at any caller's thread count, and the softmax head
+    trains in a child process where ``forked`` can start one.
     """
     split_seed = _derive_seed(spec.base_seed, fraction_index, rep, 0)
     train_seed = _derive_seed(spec.base_seed, fraction_index, rep, 1)
@@ -169,13 +172,17 @@ def run_single(
     enc_split, _, enc_cfg = spec.model.prepare(docs, fraction, split_seed)
     train_docs, test_docs = enc_split.train, enc_split.test
 
-    doc_params, _ = train(enc_split, enc_cfg, spec.train_config, seed=train_seed)
-    sm_params, _ = train(enc_split, enc_cfg, spec.train_config, seed=train_seed, head=HEAD_SOFTMAX)
+    def softmax_test_logits() -> np.ndarray:
+        sm_params, _ = train(enc_split, enc_cfg, spec.train_config, seed=train_seed, head=HEAD_SOFTMAX)
+        return batched_logits(sm_params, test_docs.ids)
 
-    # one forward per (model, split); both DOC methods score the same test logits
-    thresholds = fit_thresholds(batched_logits(doc_params, train_docs.ids), train_docs.labels, spec.alpha)
-    doc_test = batched_logits(doc_params, test_docs.ids)
-    sm_test = batched_logits(sm_params, test_docs.ids)
+    # the softmax head trains in a forked child while this process trains the DOC head
+    with one_blas_thread(), forked(softmax_test_logits) as sm_test_logits:
+        doc_params, _ = train(enc_split, enc_cfg, spec.train_config, seed=train_seed)
+        # one forward per (model, split); both DOC methods score the same test logits
+        thresholds = fit_thresholds(batched_logits(doc_params, train_docs.ids), train_docs.labels, spec.alpha)
+        doc_test = batched_logits(doc_params, test_docs.ids)
+        sm_test = sm_test_logits()
     return {
         METHOD_DOC: macro_f1(evaluate(doc_test, thresholds, test_docs.labels)),
         METHOD_DOC_T05: macro_f1(evaluate(doc_test, fixed_thresholds(enc_cfg.num_classes), test_docs.labels)),

@@ -34,6 +34,9 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
         self.batch = batch
 
+    def __reduce__(self):  # pickle rebuilds an exception from its args, which hold only the message
+        return type(self), (self.epoch, self.batch)
+
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -1,12 +1,13 @@
 import inspect
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
 import tempfile
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opentc import cli, evaluation, parallel
 from opentc.calibration import fit_thresholds
 from opentc.cli import _experiment_spec, _from_flags, build_parser, main
 from opentc.data import Document, encode, load_jsonl, save_jsonl, tokenize
@@ -22,7 +24,7 @@ from opentc.evaluation import ExperimentSpec
 from opentc.head import class_probabilities, predict_open
 from opentc.model_io import load_model
 from opentc.synthetic import generate_synthetic_dataset
-from opentc.trainer import TrainConfig, train
+from opentc.trainer import HEAD_ONE_VS_REST, HEAD_SOFTMAX, TrainConfig, train
 
 
 FAST_FLAGS = [
@@ -261,6 +263,66 @@ def test_predict_empty_input_prints_nothing(calibrated_model, tmp_path, capsys):
     inp = tmp_path / "empty.txt"
     inp.write_text("")
     assert _predict_lines(calibrated_model, inp, capsys) == []
+
+
+def _experiment_error(dataset, capsys) -> tuple[int, str]:
+    rc = main(["experiment", "--data", dataset, "--fractions", "0.5", "--reps", "1", *FAST_FLAGS])
+    return rc, capsys.readouterr().err
+
+
+def test_a_softmax_divergence_in_the_child_exits_3_like_a_serial_run(forks, dataset, monkeypatch, capsys):
+    def softmax_diverges(split, enc_cfg, cfg, *, seed, head=HEAD_ONE_VS_REST):
+        if head == HEAD_SOFTMAX:
+            cfg = replace(cfg, lr=1e300)
+        return real_train(split, enc_cfg, cfg, seed=seed, head=head)
+
+    real_train = evaluation.train
+    monkeypatch.setattr(evaluation, "train", softmax_diverges)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc, err = _experiment_error(dataset, capsys)
+        assert len(forks) == 1 and rc == 3 and err.startswith("error: non-finite loss at epoch 0, batch ")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _experiment_error(dataset, capsys) == (rc, err)
+
+
+def test_a_child_that_dies_exits_2(forks, dataset, monkeypatch, capsys):
+    def softmax_killed(split, enc_cfg, cfg, *, seed, head=HEAD_ONE_VS_REST):
+        if head == HEAD_SOFTMAX:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_train(split, enc_cfg, cfg, seed=seed, head=head)
+
+    real_train = evaluation.train
+    monkeypatch.setattr(evaluation, "train", softmax_killed)
+    rc, err = _experiment_error(dataset, capsys)
+    assert (rc, err) == (2, "error: forked child ended without a result (killed by signal 9)\n")
+
+
+def test_main_runs_at_one_blas_thread_and_gives_the_count_back(two_blas_threads, monkeypatch):
+    inside = []
+    monkeypatch.setitem(cli._COMMANDS, "inspect", lambda args: inside.append(two_blas_threads()) or 0)
+    assert main(["inspect", "--model", "m.docm"]) == 0
+    counts = two_blas_threads()
+    assert inside == [[1] * len(counts)] and counts == [2] * len(counts)
+
+
+def test_train_and_predict_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    if not parallel._openblas():
+        pytest.skip("no OpenBLAS is loaded; the CLI runs at the BLAS build's own thread setting")
+    data, inp = tmp_path / "corpus.jsonl", tmp_path / "docs.txt"
+    save_jsonl(data, generate_synthetic_dataset(num_classes=4, docs_per_class=30, seed=0))
+    inp.write_text("".join(d.text + "\n" for d in generate_synthetic_dataset(num_classes=4, docs_per_class=5, seed=1)))
+    outputs = []
+    for threads in ("1", "2"):
+        # the paper shapes: GEMMs large enough that two OpenBLAS threads round differently
+        model = tmp_path / f"m{threads}.docm"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads)
+        command = [sys.executable, "-m", "opentc.cli"]
+        train_argv = ["train", "--data", str(data), "--out", str(model), "--calibrate", "--epochs", "1"]
+        subprocess.run([*command, *train_argv], env=env, check=True, capture_output=True, timeout=120)
+        predict_argv = ["predict", "--model", str(model), "--input", str(inp)]
+        done = subprocess.run([*command, *predict_argv], env=env, check=True, capture_output=True, timeout=120)
+        outputs.append((model.read_bytes(), done.stdout))
+    assert outputs[0] == outputs[1]
 
 
 def _predict_in_subprocess(model, *extra) -> dict:

@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from opentc.evaluation import (
     evaluate,
     evaluate_closed,
     macro_f1,
+    run_experiment,
     run_single,
 )
 from opentc.synthetic import generate_synthetic_dataset
-from opentc.trainer import TrainConfig
+from opentc.trainer import HEAD_ONE_VS_REST, TrainConfig
 
 
 def oracle_macro_f1(gold, pred, classes):
@@ -198,6 +200,7 @@ def test_run_single_sizes_the_embedding_by_the_vocabulary(monkeypatch):
 
     real_train = evaluation.train
     monkeypatch.setattr(evaluation, "train", capture)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # both trainings in this process
     run_single(spec, docs, 1.0, 0, 0)
     split = make_open_split(docs, 1.0, _derive_seed(spec.base_seed, 0, 0, 0))
     vocab_len = len(build_vocab_from_split(split, model.vocab_size))
@@ -224,10 +227,42 @@ def test_run_single_forwards_each_model_and_split_once(monkeypatch):
 
     real_forward = encoder.forward
     monkeypatch.setattr(encoder, "forward", record)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every forward in this process
     run_single(spec, docs, 0.5, 0, 0)
     # two validation losses per model, then DOC on train and test, softmax on test
     assert len(forwarded) == 2 * 2 + 3
     assert len(set(forwarded)) == len(forwarded)
+
+
+TOY_MODEL = ModelSpec(vocab_size=200, doc_len=12, embed_dim=4, filter_widths=(2,), filters_per_width=3, hidden_dim=4)
+
+
+def test_run_experiment_gives_the_same_result_forked_and_serial(forks, monkeypatch):
+    docs = generate_synthetic_dataset(num_classes=4, docs_per_class=20, seed=3)
+    spec = ExperimentSpec(
+        seen_fractions=(0.5, 1.0), repetitions=2, model=TOY_MODEL, train_config=TrainConfig(epochs=2)
+    )
+    forked = run_experiment(spec, docs).to_json()
+    assert len(forks) == 4  # one softmax head per run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run_experiment(spec, docs).to_json() == forked
+    assert len(forks) == 4
+
+
+def test_no_child_outlives_a_run_whose_parent_head_raises(forks, monkeypatch):
+    docs = generate_synthetic_dataset(num_classes=4, docs_per_class=20, seed=3)
+    spec = ExperimentSpec(seen_fractions=(0.5,), repetitions=1, model=TOY_MODEL, train_config=TrainConfig(epochs=2))
+
+    def one_vs_rest_fails(split, enc_cfg, cfg, *, seed, head=HEAD_ONE_VS_REST):
+        if head == HEAD_ONE_VS_REST:
+            raise MemoryError("one-vs-rest head")
+        return real_train(split, enc_cfg, cfg, seed=seed, head=head)
+
+    real_train = evaluation.train
+    monkeypatch.setattr(evaluation, "train", one_vs_rest_fails)
+    with pytest.raises(MemoryError, match="one-vs-rest head"):
+        run_single(spec, docs, 0.5, 0, 0)
+    assert len(forks) == 1  # and the fixture checks that it was reaped
 
 
 def test_derive_seed_is_deterministic_and_distinct():

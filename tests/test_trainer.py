@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,11 @@ def test_divergence_raises():
     with pytest.raises(TrainingDivergedError) as exc_info, np.errstate(over="ignore", invalid="ignore"):
         train(split, CFG, TrainConfig(epochs=2), initial_params=init, seed=0)
     assert exc_info.value.epoch == 0
+
+
+def test_divergence_error_survives_pickling():
+    error = pickle.loads(pickle.dumps(TrainingDivergedError(1, 2)))  # a forked child sends it this way
+    assert (error.epoch, error.batch, str(error)) == (1, 2, "non-finite loss at epoch 1, batch 2")
 
 
 def test_initial_params_used_and_not_mutated():
