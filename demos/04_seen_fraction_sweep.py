@@ -14,9 +14,9 @@ from opentc.trainer import TrainConfig
 docs = generate_synthetic_dataset(num_classes=6, docs_per_class=150, seed=0)
 
 spec = ExperimentSpec(
-    seen_fractions=(0.5, 1.0),
-    repetitions=2,
-    base_seed=0,
+    fractions=(0.5, 1.0),
+    reps=2,
+    seed=0,
     model=ModelSpec(
         vocab_size=500, doc_len=80, embed_dim=24, filter_widths=(3, 4), filters_per_width=20, hidden_dim=40
     ),

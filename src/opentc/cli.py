@@ -10,14 +10,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import DEFAULT_ALPHA, CalibrationError, check_alpha, fit_thresholds, fixed_thresholds
-from .data import encode, encode_documents, load_jsonl, tokenize
+from .data import check_seed, encode, encode_documents, load_jsonl, tokenize
 from .encoder import INFERENCE_CHUNK, ModelSpec, batched_logits, init_params, load_pretrained_embeddings
 from .evaluation import ExperimentSpec, run_experiment
 from .head import class_probabilities, open_predictions
@@ -47,30 +47,32 @@ def _comma_separated(kind: type):
     return parse
 
 
+def _default(f):
+    """A dataclass field's default, built by its ``default_factory`` if it has one."""
+    return f.default_factory() if f.default is MISSING else f.default
+
+
 def _add_flags(p: argparse.ArgumentParser, cls: type) -> None:
     """One flag per field of the dataclass ``cls``, named after it and
-    defaulting to it; a tuple field takes a comma-separated list."""
+    defaulting to it; a tuple field takes a comma-separated list, and a field
+    whose default is a dataclass gives that dataclass's flags."""
     for f in fields(cls):
-        kind = type(f.default)
+        default = _default(f)
+        if is_dataclass(default):
+            _add_flags(p, type(default))
+            continue
+        kind = type(default)
         if kind is tuple:
-            kind = _comma_separated(type(f.default[0]))
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=kind, default=f.default)
+            kind = _comma_separated(type(default[0]))
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=kind, default=default)
 
 
 def _from_flags(cls: type, args):
     """Inverse of ``_add_flags``: an instance of ``cls`` from the parsed flags."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
-
-
-def _experiment_spec(args) -> ExperimentSpec:
-    return ExperimentSpec(
-        seen_fractions=args.fractions,
-        repetitions=args.reps,
-        base_seed=args.seed,
-        alpha=args.alpha,
-        model=_from_flags(ModelSpec, args),
-        train_config=_from_flags(TrainConfig, args),
-    )
+    return cls(**{
+        f.name: _from_flags(type(d), args) if is_dataclass(d := _default(f)) else getattr(args, f.name)
+        for f in fields(cls)
+    })
 
 
 def _check_output_paths(*paths) -> None:
@@ -115,13 +117,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="seen-fraction sweep with repeated class choices")
     p.add_argument("--data", required=True)
-    p.add_argument("--fractions", type=_comma_separated(float), default=ExperimentSpec.seen_fractions)
-    p.add_argument("--reps", type=int, default=ExperimentSpec.repetitions)
-    p.add_argument("--seed", type=int, default=ExperimentSpec.base_seed)
-    p.add_argument("--alpha", type=float, default=ExperimentSpec.alpha)
     p.add_argument("--report", help="write the result JSON here")
-    _add_flags(p, ModelSpec)
-    _add_flags(p, TrainConfig)
+    _add_flags(p, ExperimentSpec)
 
     p = sub.add_parser("inspect", help="print model file contents")
     p.add_argument("--model", required=True)
@@ -132,6 +129,7 @@ def build_parser() -> _Parser:
 def cmd_train(args) -> int:
     _check_output_paths(args.out, args.report)
     spec, train_config = _from_flags(ModelSpec, args), _from_flags(TrainConfig, args)
+    check_seed(args.seed)
     if args.calibrate:
         check_alpha(args.alpha)
     # the raw corpus is freed once prepare has encoded it
@@ -213,7 +211,7 @@ def cmd_predict(args) -> int:
 
 def cmd_experiment(args) -> int:
     _check_output_paths(args.report)
-    spec = _experiment_spec(args)
+    spec = _from_flags(ExperimentSpec, args)
     docs = load_jsonl(args.data)
     result = run_experiment(spec, docs)
     print(result.to_text())

@@ -133,6 +133,12 @@ class OpenSplit:
     unseen_classes: list[str]
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that numpy's generators would reject, naming it."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def make_open_split(docs: list[Document], seen_fraction: float, rep_seed) -> OpenSplit:
     """Choose seen classes and split each class 60/10/30, deterministically.
 

@@ -59,6 +59,9 @@ class ModelSpec:
             raise ValueError("filter widths must be >= 1")
         if self.doc_len < max(self.filter_widths):
             raise ValueError("doc_len shorter than the widest filter")
+        # a cap must leave room for PAD, UNK and one token; an EncoderConfig's counts embedding rows
+        if self.vocab_size < 3 and not isinstance(self, EncoderConfig):
+            raise ValueError(f"vocab_size must be >= 3 (PAD, UNK and one token), got {self.vocab_size}")
 
     def prepare(
         self, docs: list[data.Document], seen_fraction: float, seed: int

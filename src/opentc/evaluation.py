@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import DEFAULT_ALPHA, ThresholdVector, check_alpha, check_logit_matrix, fit_thresholds, fixed_thresholds
-from .data import Document
+from .data import Document, check_seed
 from .encoder import ModelSpec, batched_logits
 from .head import class_probabilities, open_predictions
 from .parallel import forked, one_blas_thread
@@ -29,7 +29,6 @@ class ConfusionMatrix:
     """
 
     counts: np.ndarray
-    num_seen: int
 
     @classmethod
     def from_pairs(cls, gold, predicted, num_seen: int) -> "ConfusionMatrix":
@@ -38,7 +37,7 @@ class ConfusionMatrix:
         pairs = np.array([gold, predicted], dtype=np.int64)
         if ((pairs < 0) | (pairs >= n)).any():
             raise ValueError(f"class index out of range [0, {n})")
-        return cls(np.bincount(pairs[0] * n + pairs[1], minlength=n * n).reshape(n, n), num_seen)
+        return cls(np.bincount(pairs[0] * n + pairs[1], minlength=n * n).reshape(n, n))
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -92,36 +91,41 @@ def evaluate_closed(logits, labels) -> ConfusionMatrix:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """The sweep: per seen fraction, ``repetitions`` runs, each preparing its
-    own split with ``model`` and training both heads under ``train_config``
-    with a seed derived from ``base_seed``."""
+    """The sweep: per seen fraction, ``reps`` runs, each preparing its own split
+    with ``model`` and training both heads under ``train_config`` with a seed
+    derived from ``seed``. Each field gives ``experiment`` its flags."""
 
-    seen_fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
-    repetitions: int = 10
-    base_seed: int = 0
+    fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
+    reps: int = 10
+    seed: int = 0
     alpha: float = DEFAULT_ALPHA
     model: ModelSpec = field(default_factory=ModelSpec)
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seen_fractions", tuple(self.seen_fractions))
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if any(not 0 < f <= 1 for f in self.seen_fractions):
+        object.__setattr__(self, "fractions", tuple(self.fractions))
+        if self.reps < 1:
+            raise ValueError("reps must be >= 1")
+        if any(not 0 < f <= 1 for f in self.fractions):
             raise ValueError("seen fractions must lie in (0, 1]")
-        if len(set(self.seen_fractions)) != len(self.seen_fractions):
-            raise ValueError(f"seen fractions must be distinct, got {list(self.seen_fractions)}")
+        if len(set(self.fractions)) != len(self.fractions):
+            raise ValueError(f"seen fractions must be distinct, got {list(self.fractions)}")
+        check_seed(self.seed)
         check_alpha(self.alpha)
 
 
 @dataclass
 class ExperimentResult:
-    """Per-(method, fraction) macro-F1 means and stds plus every raw run."""
+    """Every run's macro-F1 per (method, fraction), and their means and stds."""
 
     fractions: list[float]
     methods: list[str]
     runs: dict  # (method, fraction) -> list of per-repetition macro-F1
-    summary: dict  # (method, fraction) -> (mean, std)
+
+    @property
+    def summary(self) -> dict:
+        """(method, fraction) -> (mean, std) of its runs."""
+        return {key: (float(np.mean(vals)), float(np.std(vals))) for key, vals in self.runs.items()}
 
     def to_json(self) -> str:
         return json.dumps({
@@ -139,11 +143,11 @@ class ExperimentResult:
     def to_text(self) -> str:
         """Aligned table: rows = methods, columns = seen fractions."""
         header = ["method"] + [f"{int(round(f * 100))}%" for f in self.fractions]
-        rows = [header]
+        rows, summary = [header], self.summary
         for meth in self.methods:
             row = [meth]
             for frac in self.fractions:
-                mean, std = self.summary[(meth, frac)]
+                mean, std = summary[(meth, frac)]
                 row.append(f"{mean:.4f}±{std:.4f}")
             rows.append(row)
         widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
@@ -156,20 +160,19 @@ def _derive_seed(base_seed: int, *parts: int) -> int:
     return int(np.random.SeedSequence([base_seed, *parts]).generate_state(1)[0])
 
 
-def run_single(
-    spec: ExperimentSpec, docs: list[Document], fraction: float, fraction_index: int, rep: int
-) -> dict:
-    """One repetition: split, train both heads, calibrate, score all methods.
+def run_single(spec: ExperimentSpec, docs: list[Document], fraction_index: int, rep: int) -> dict:
+    """One repetition at ``spec.fractions[fraction_index]``: split, train both
+    heads, calibrate, score all methods.
 
     Every method within a repetition shares the same class subset and data
     split, so the comparison is paired. It runs at one BLAS thread, so its
     scores are the same at any caller's thread count, and the softmax head
     trains in a child process where ``forked`` can start one.
     """
-    split_seed = _derive_seed(spec.base_seed, fraction_index, rep, 0)
-    train_seed = _derive_seed(spec.base_seed, fraction_index, rep, 1)
+    split_seed = _derive_seed(spec.seed, fraction_index, rep, 0)
+    train_seed = _derive_seed(spec.seed, fraction_index, rep, 1)
 
-    enc_split, _, enc_cfg = spec.model.prepare(docs, fraction, split_seed)
+    enc_split, _, enc_cfg = spec.model.prepare(docs, spec.fractions[fraction_index], split_seed)
     train_docs, test_docs = enc_split.train, enc_split.test
 
     def softmax_test_logits() -> np.ndarray:
@@ -192,15 +195,10 @@ def run_single(
 
 def run_experiment(spec: ExperimentSpec, docs: list[Document]) -> ExperimentResult:
     methods = [METHOD_DOC, METHOD_DOC_T05, METHOD_SOFTMAX]
-    runs = {(meth, frac): [] for meth in methods for frac in spec.seen_fractions}
-    for fi, frac in enumerate(spec.seen_fractions):
-        for rep in range(spec.repetitions):
-            scores = run_single(spec, docs, frac, fi, rep)
+    runs = {(meth, frac): [] for meth in methods for frac in spec.fractions}
+    for fi, frac in enumerate(spec.fractions):
+        for rep in range(spec.reps):
+            scores = run_single(spec, docs, fi, rep)
             for meth in methods:
                 runs[(meth, frac)].append(scores[meth])
-    summary = {
-        key: (float(np.mean(vals)), float(np.std(vals))) for key, vals in runs.items()
-    }
-    return ExperimentResult(
-        fractions=list(spec.seen_fractions), methods=methods, runs=runs, summary=summary
-    )
+    return ExperimentResult(fractions=list(spec.fractions), methods=methods, runs=runs)

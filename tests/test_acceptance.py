@@ -181,7 +181,7 @@ def test_criterion_4_macro_f1_oracle(capsys):
     for _ in range(1000):
         m = int(rng.integers(2, 7))
         counts = rng.integers(0, 20, size=(m + 1, m + 1))
-        cm = ConfusionMatrix(counts=counts.astype(np.int64), num_seen=m)
+        cm = ConfusionMatrix(counts=counts.astype(np.int64))
         classes = list(range(m + 1))
         if counts[m, :].sum() == 0 and counts[:, m].sum() == 0:
             classes.remove(m)
@@ -189,7 +189,7 @@ def test_criterion_4_macro_f1_oracle(capsys):
 
     # hand-worked example: rows gold0 [8,1,1], gold1 [0,9,1], goldR [2,0,8]
     hand_cm = ConfusionMatrix(
-        counts=np.array([[8, 1, 1], [0, 9, 1], [2, 0, 8]], dtype=np.int64), num_seen=2
+        counts=np.array([[8, 1, 1], [0, 9, 1], [2, 0, 8]], dtype=np.int64)
     )
     hand_ok = abs(macro_f1(hand_cm) - (0.8 + 0.9 + 0.8) / 3) < 1e-12
 
@@ -206,7 +206,7 @@ def test_criterion_4_macro_f1_oracle(capsys):
 # --------------------------------------------------------------------------
 
 _SPEC_KW = dict(
-    base_seed=0,
+    seed=0,
     alpha=3.0,
     model=ModelSpec(
         embed_dim=50,
@@ -228,7 +228,7 @@ def corpus():
 @pytest.fixture(scope="module")
 def directional_result(corpus):
     spec = ExperimentSpec(
-        seen_fractions=(0.25,), repetitions=5, train_config=_TRAIN, **_SPEC_KW
+        fractions=(0.25,), reps=5, train_config=_TRAIN, **_SPEC_KW
     )
     start = time.time()
     result = run_experiment(spec, corpus)
@@ -361,7 +361,7 @@ def test_criterion_7_cli_determinism(capsys, tmp_path):
 
 def test_supplementary_ordering_holds_beyond_two_classes(capsys, corpus):
     spec = ExperimentSpec(
-        seen_fractions=(0.5,), repetitions=2, train_config=_TRAIN, **_SPEC_KW
+        fractions=(0.5,), reps=2, train_config=_TRAIN, **_SPEC_KW
     )
     result = run_experiment(spec, corpus)
     t05 = result.summary[("doc_t0.5", 0.5)][0]

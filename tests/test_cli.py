@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from opentc import cli, evaluation, parallel
 from opentc.calibration import fit_thresholds
-from opentc.cli import _experiment_spec, _from_flags, build_parser, main
+from opentc.cli import _from_flags, build_parser, main
 from opentc.data import Document, encode, load_jsonl, save_jsonl, tokenize
 from opentc.encoder import INFERENCE_CHUNK, ModelSpec, forward
 from opentc.evaluation import ExperimentSpec
@@ -546,9 +546,9 @@ def test_malformed_comma_separated_flag_is_a_usage_error(argv, capsys):
 
 
 def _non_default(value):
-    """A flag value other than ``value``, and the field value it parses to."""
+    """A valid flag value other than ``value``, and the field value it parses to."""
     if isinstance(value, tuple):
-        other = tuple(v + 1 for v in value)
+        other = tuple(v + 1 if isinstance(v, int) else v / 2 for v in value)  # fractions stay in (0, 1]
         return ",".join(map(str, other)), other
     other = value * 2 if isinstance(value, float) else value + 1
     return str(other), other
@@ -564,15 +564,20 @@ def test_generated_flags_round_trip():
     assert args.seed == inspect.signature(train).parameters["seed"].default
     args = parser.parse_args(["calibrate", "--model", "m.docm", "--data", "d.jsonl"])
     assert args.alpha == inspect.signature(fit_thresholds).parameters["alpha"].default
-    assert _experiment_spec(parser.parse_args(experiment_argv)) == ExperimentSpec()
-    assert _experiment_spec(parser.parse_args([*experiment_argv, "--seed", "5"])) == ExperimentSpec(base_seed=5)
+
+    def experiment(*flags):
+        return _from_flags(ExperimentSpec, parser.parse_args([*experiment_argv, *flags]))
+
+    assert experiment() == ExperimentSpec()
+    for name in ["fractions", "reps", "seed", "alpha"]:
+        text, want = _non_default(getattr(ExperimentSpec(), name))
+        assert experiment(f"--{name}", text) == replace(ExperimentSpec(), **{name: want})
     for cls, part in [(ModelSpec, "model"), (TrainConfig, "train_config")]:
         for f in fields(cls):
             text, want = _non_default(f.default)
             flag = f"--{f.name.replace('_', '-')}"
             assert getattr(_from_flags(cls, parser.parse_args([*train_argv, flag, text])), f.name) == want
-            spec = _experiment_spec(parser.parse_args([*experiment_argv, flag, text]))
-            assert getattr(getattr(spec, part), f.name) == want
+            assert getattr(getattr(experiment(flag, text), part), f.name) == want
 
 
 def test_train_seed_reaches_the_seed_argument(dataset, tmp_path, monkeypatch):
@@ -592,8 +597,12 @@ def test_train_seed_reaches_the_seed_argument(dataset, tmp_path, monkeypatch):
     [
         (["train", "--out", "{tmp}/m.docm", "--filter-widths", "0"], "filter widths must be >= 1"),
         (["experiment", "--filter-widths", "2,1"], "filter_widths must be ascending"),
+        (["train", "--out", "{tmp}/m.docm", "--vocab-size", "1"], "vocab_size must be >= 3 (PAD, UNK and one token), got 1"),
+        (["experiment", "--vocab-size", "2"], "vocab_size must be >= 3 (PAD, UNK and one token), got 2"),
+        (["train", "--out", "{tmp}/m.docm", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["experiment", "--seed=-1"], "seed must be >= 0, got -1"),
     ],
-    ids=["train", "experiment"],
+    ids=["train", "experiment", "train-vocab-size-1", "experiment-vocab-size-2", "train-seed", "experiment-seed"],
 )
 def test_shape_error_comes_before_the_data_file(argv, error, tmp_path, capsys):
     command, *flags = argv

@@ -238,6 +238,14 @@ def test_a_config_is_a_spec_with_at_least_two_classes():
         EncoderConfig(num_classes=1)
 
 
+def test_only_a_spec_needs_room_for_pad_unk_and_one_token():
+    for size in (1, 2):
+        with pytest.raises(ValueError, match=f"vocab_size must be >= 3 \\(PAD, UNK and one token\\), got {size}"):
+            ModelSpec(vocab_size=size)
+        assert EncoderConfig(num_classes=2, vocab_size=size).vocab_size == size  # embedding rows, not a cap
+    assert ModelSpec(vocab_size=3).vocab_size == 3
+
+
 def test_load_pretrained_embeddings():
     vocab = Vocabulary(["apple", "banana"])  # ids 2 and 3
     lines = ["apple 1.0 2.0 3.0 4.0", "cherry 9 9 9 9"]

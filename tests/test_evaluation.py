@@ -171,16 +171,16 @@ def test_evaluate_batch_size_invariant(monkeypatch):
 
 def test_experiment_spec_validation():
     with pytest.raises(ValueError):
-        ExperimentSpec(repetitions=0)
+        ExperimentSpec(reps=0)
     with pytest.raises(ValueError):
-        ExperimentSpec(seen_fractions=(0.0,))
+        ExperimentSpec(fractions=(0.0,))
     with pytest.raises(ValueError, match="distinct"):
-        ExperimentSpec(seen_fractions=(0.5, 0.25, 0.5))
+        ExperimentSpec(fractions=(0.5, 0.25, 0.5))
     for alpha in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(CalibrationError):
             ExperimentSpec(alpha=alpha)
-    spec = ExperimentSpec(seen_fractions=[0.5], repetitions=1)
-    assert spec.seen_fractions == (0.5,)
+    spec = ExperimentSpec(fractions=[0.5], reps=1)
+    assert spec.fractions == (0.5,)
 
 
 def test_run_single_sizes_the_embedding_by_the_vocabulary(monkeypatch):
@@ -189,7 +189,7 @@ def test_run_single_sizes_the_embedding_by_the_vocabulary(monkeypatch):
         vocab_size=100_000, doc_len=12, embed_dim=4, filter_widths=(2,), filters_per_width=3, hidden_dim=4
     )
     spec = ExperimentSpec(
-        seen_fractions=(1.0,), repetitions=1, model=model, train_config=TrainConfig(epochs=1)
+        fractions=(1.0,), reps=1, model=model, train_config=TrainConfig(epochs=1)
     )
     trained = []
 
@@ -201,8 +201,8 @@ def test_run_single_sizes_the_embedding_by_the_vocabulary(monkeypatch):
     real_train = evaluation.train
     monkeypatch.setattr(evaluation, "train", capture)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # both trainings in this process
-    run_single(spec, docs, 1.0, 0, 0)
-    split = make_open_split(docs, 1.0, _derive_seed(spec.base_seed, 0, 0, 0))
+    run_single(spec, docs, 0, 0)
+    split = make_open_split(docs, 1.0, _derive_seed(spec.seed, 0, 0, 0))
     vocab_len = len(build_vocab_from_split(split, model.vocab_size))
     assert vocab_len < model.vocab_size
     assert len(trained) == 2  # the one-vs-rest and the softmax model
@@ -215,7 +215,7 @@ def test_run_single_forwards_each_model_and_split_once(monkeypatch):
     docs = generate_synthetic_dataset(num_classes=4, docs_per_class=20, seed=0)
     model = ModelSpec(vocab_size=200, doc_len=12, embed_dim=4, filter_widths=(2,), filters_per_width=3, hidden_dim=4)
     spec = ExperimentSpec(
-        seen_fractions=(0.5,), repetitions=1, model=model, train_config=TrainConfig(epochs=2)
+        fractions=(0.5,), reps=1, model=model, train_config=TrainConfig(epochs=2)
     )
     forwarded = []
 
@@ -228,7 +228,7 @@ def test_run_single_forwards_each_model_and_split_once(monkeypatch):
     real_forward = encoder.forward
     monkeypatch.setattr(encoder, "forward", record)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every forward in this process
-    run_single(spec, docs, 0.5, 0, 0)
+    run_single(spec, docs, 0, 0)
     # two validation losses per model, then DOC on train and test, softmax on test
     assert len(forwarded) == 2 * 2 + 3
     assert len(set(forwarded)) == len(forwarded)
@@ -240,7 +240,7 @@ TOY_MODEL = ModelSpec(vocab_size=200, doc_len=12, embed_dim=4, filter_widths=(2,
 def test_run_experiment_gives_the_same_result_forked_and_serial(forks, monkeypatch):
     docs = generate_synthetic_dataset(num_classes=4, docs_per_class=20, seed=3)
     spec = ExperimentSpec(
-        seen_fractions=(0.5, 1.0), repetitions=2, model=TOY_MODEL, train_config=TrainConfig(epochs=2)
+        fractions=(0.5, 1.0), reps=2, model=TOY_MODEL, train_config=TrainConfig(epochs=2)
     )
     forked = run_experiment(spec, docs).to_json()
     assert len(forks) == 4  # one softmax head per run
@@ -251,7 +251,7 @@ def test_run_experiment_gives_the_same_result_forked_and_serial(forks, monkeypat
 
 def test_no_child_outlives_a_run_whose_parent_head_raises(forks, monkeypatch):
     docs = generate_synthetic_dataset(num_classes=4, docs_per_class=20, seed=3)
-    spec = ExperimentSpec(seen_fractions=(0.5,), repetitions=1, model=TOY_MODEL, train_config=TrainConfig(epochs=2))
+    spec = ExperimentSpec(fractions=(0.5,), reps=1, model=TOY_MODEL, train_config=TrainConfig(epochs=2))
 
     def one_vs_rest_fails(split, enc_cfg, cfg, *, seed, head=HEAD_ONE_VS_REST):
         if head == HEAD_ONE_VS_REST:
@@ -261,7 +261,7 @@ def test_no_child_outlives_a_run_whose_parent_head_raises(forks, monkeypatch):
     real_train = evaluation.train
     monkeypatch.setattr(evaluation, "train", one_vs_rest_fails)
     with pytest.raises(MemoryError, match="one-vs-rest head"):
-        run_single(spec, docs, 0.5, 0, 0)
+        run_single(spec, docs, 0, 0)
     assert len(forks) == 1  # and the fixture checks that it was reaped
 
 
@@ -274,11 +274,11 @@ def test_derive_seed_is_deterministic_and_distinct():
 
 def test_experiment_result_serialization():
     runs = {("doc", 0.5): [0.8, 0.9], ("softmax", 0.5): [0.7, 0.7]}
-    summary = {k: (float(np.mean(v)), float(np.std(v))) for k, v in runs.items()}
-    res = ExperimentResult(fractions=[0.5], methods=["doc", "softmax"], runs=runs, summary=summary)
+    res = ExperimentResult(fractions=[0.5], methods=["doc", "softmax"], runs=runs)
     import json
 
     d = json.loads(res.to_json())
-    assert d["summary"]["doc@0.5"]["mean"] == pytest.approx(0.85)
+    assert d["summary"]["doc@0.5"] == {"mean": pytest.approx(0.85), "std": pytest.approx(0.05)}
+    assert d["summary"]["softmax@0.5"] == {"mean": pytest.approx(0.7), "std": 0.0}
     text = res.to_text()
     assert "50%" in text and "doc" in text and "softmax" in text
