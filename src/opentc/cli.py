@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from dataclasses import MISSING, fields, is_dataclass
 from itertools import islice
@@ -22,7 +23,7 @@ from .encoder import INFERENCE_CHUNK, ModelSpec, batched_logits, init_params, lo
 from .evaluation import ExperimentSpec, run_experiment
 from .head import class_probabilities, open_predictions
 from .model_io import MAGIC, VERSION, TrainedModel, atomic_write, load_model, save_model
-from .parallel import one_blas_thread
+from .parallel import one_blas_thread, worker
 from .trainer import HEAD_ONE_VS_REST, TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
@@ -190,22 +191,49 @@ def cmd_predict(args) -> int:
         raise CalibrationError("model has no fitted thresholds; calibrate first or pass --t")
     names = model.class_names
     labels = names + ["REJECT"]  # indexed by open_predictions, m for a rejection
+
+    def render(chunk: list[str]) -> str:
+        """The output lines of one chunk of input lines."""
+        ids = np.stack([encode(tokenize(line.rstrip("\n")), model.vocab, model.config.doc_len) for line in chunk])
+        probs = class_probabilities(batched_logits(model.params, ids))
+        predicted = [labels[k] for k in open_predictions(probs, thresholds).tolist()]
+        rows = zip(predicted, probs.max(axis=1).tolist(), probs.tolist(), (probs - thresholds.t).tolist())
+        out = []
+        for name, top, row, margins in rows:
+            if args.format == "json":
+                record = {"prediction": name, "probability": top, "probs": dict(zip(names, row))}
+                record["margins"] = dict(zip(names, margins))
+                out.append(json.dumps(record, sort_keys=True) + "\n")
+            else:
+                out.append("\t".join([name, f"{top:.6f}"] + [f"{p:.6f}" for p in row]) + "\n")
+        return "".join(out)
+
+    def write(text: str) -> None:
+        sys.stdout.write(text)
+        sys.stdout.flush()  # piped output streams chunk by chunk
+
     # one strict UTF-8 reader for a file and for stdin alike
     source = sys.stdin.fileno() if args.input == "-" else args.input
     with open(source, "r", encoding="utf-8", closefd=args.input != "-") as stream:
-        while chunk := list(islice(stream, INFERENCE_CHUNK)):
-            ids = np.stack([encode(tokenize(line.rstrip("\n")), model.vocab, model.config.doc_len) for line in chunk])
-            probs = class_probabilities(batched_logits(model.params, ids))
-            predicted = [labels[k] for k in open_predictions(probs, thresholds).tolist()]
-            rows = zip(predicted, probs.max(axis=1).tolist(), probs.tolist(), (probs - thresholds.t).tolist())
-            for name, top, row, margins in rows:
-                if args.format == "json":
-                    record = {"prediction": name, "probability": top, "probs": dict(zip(names, row))}
-                    record["margins"] = dict(zip(names, margins))
-                    print(json.dumps(record, sort_keys=True))
-                else:
-                    print("\t".join([name, f"{top:.6f}"] + [f"{p:.6f}" for p in row]))
-            sys.stdout.flush()  # piped output streams chunk by chunk
+        # Read ahead only where a read cannot block, so a pipe still streams:
+        # chunk k+1 goes to the worker while this process renders chunk k.
+        ahead = stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
+        try:
+            with worker(render) as submit:
+                while chunk := list(islice(stream, INFERENCE_CHUNK)):
+                    try:
+                        after = list(islice(stream, INFERENCE_CHUNK)) if ahead else []
+                    except (ValueError, OSError):  # a decode or read error: print what came before it
+                        write(render(chunk))
+                        raise
+                    reply = submit(after) if after else None
+                    write(render(chunk))
+                    if reply is not None:
+                        write(reply())
+        except BrokenPipeError:  # the reader is gone, as under `| head`: not an error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())  # so the exit's last flush stays silent
+            os.close(devnull)
     return EXIT_OK
 
 

@@ -23,7 +23,9 @@ import numpy as np
 from . import data
 from .tensor import PAD_ID, Tape, Tensor, concat, conv_max_pool, dense, embed_lookup, relu
 
-# Documents per inference forward: batched_logits and each predict chunk.
+# Documents per inference forward: batched_logits, and each chunk that
+# predict reads, renders and prints as a unit (a file input's worker gets
+# every other chunk).
 # Each forward builds one (w, U, F) response table over its chunk's distinct
 # tokens, so a larger chunk shares that GEMM and the per-forward overhead
 # among more documents, but its table grows with U and so does predict's

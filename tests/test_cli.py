@@ -370,6 +370,113 @@ def test_predict_streams_a_chunk_before_stdin_closes(calibrated_model):
         proc.stdout.close()
 
 
+@pytest.fixture(scope="module")
+def texts():
+    """512 input lines from four synthetic classes; ``calibrated_model`` was trained on three."""
+    return [d.text for d in generate_synthetic_dataset(num_classes=4, docs_per_class=128, seed=2)]
+
+
+def _input_file(tmp_path, lines) -> str:
+    inp = tmp_path / "docs.txt"
+    inp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(inp)
+
+
+def _predict_both_ways(argv, monkeypatch, capsys) -> tuple:
+    """(rc, (stdout, stderr)) of ``argv`` with two CPUs in view, once they
+    are checked to equal a run on one CPU, which renders every chunk in this
+    process."""
+    two_cpus = (main(argv), tuple(capsys.readouterr()))
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert (main(argv), tuple(capsys.readouterr())) == two_cpus
+    return two_cpus
+
+
+@pytest.mark.parametrize("mode", [["--format", "json"], ["--format", "tsv"], ["--t", "0.5"]], ids=["json", "tsv", "t"])
+@pytest.mark.parametrize("n", [0, 1, INFERENCE_CHUNK, INFERENCE_CHUNK + 1, 2 * INFERENCE_CHUNK + 1, 512])
+def test_the_predict_worker_changes_no_byte(forks, calibrated_model, texts, tmp_path, monkeypatch, capsys, n, mode):
+    argv = ["predict", "--model", calibrated_model, "--input", _input_file(tmp_path, texts[:n]), *mode]
+    rc, (out, err) = _predict_both_ways(argv, monkeypatch, capsys)
+    assert (rc, len(out.splitlines()), err) == (0, n, "")
+    assert len(forks) == (n > INFERENCE_CHUNK)  # one worker per command, and none for one chunk
+
+
+def test_predict_forks_no_worker_for_a_pipe(forks, calibrated_model, texts, monkeypatch, capsys):
+    r, w = os.pipe()
+
+    def feed() -> None:
+        with os.fdopen(w, "w", encoding="utf-8") as pipe:
+            pipe.write("".join(text + "\n" for text in texts[:129]))
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    with os.fdopen(r, encoding="utf-8") as pipe:
+        monkeypatch.setattr(sys, "stdin", pipe)
+        assert main(["predict", "--model", calibrated_model]) == 0
+    writer.join(timeout=60)
+    assert not writer.is_alive() and forks == [] and len(capsys.readouterr().out.splitlines()) == 129
+
+
+def test_a_decode_error_in_the_look_ahead_prints_the_chunk_before_it(
+    forks, calibrated_model, texts, tmp_path, monkeypatch, capsys
+):
+    inp = _input_file(tmp_path, texts)
+    lines = Path(inp).read_bytes().split(b"\n")
+    lines[230] = b"\xff bad"
+    Path(inp).write_bytes(b"\n".join(lines))
+    rc, (out, err) = _predict_both_ways(["predict", "--model", calibrated_model, "--input", inp], monkeypatch, capsys)
+    assert rc == 2 and err.startswith("error: 'utf-8' codec can't decode byte 0xff") and len(forks) == 1
+    # the failed read was chunk 3, a look-ahead: chunks 0 to 2 were printed
+    assert len(out.splitlines()) == 3 * INFERENCE_CHUNK
+
+
+def test_out_of_memory_in_the_predict_worker_exits_2(forks, calibrated_model, texts, tmp_path, monkeypatch, capsys):
+    def encode_or_fail(tokens, vocab, doc_len):
+        if tokens == ["poison"]:
+            raise MemoryError("poison")
+        return encode(tokens, vocab, doc_len)
+
+    monkeypatch.setattr(cli, "encode", encode_or_fail)
+    lines = texts[: 2 * INFERENCE_CHUNK]
+    lines[INFERENCE_CHUNK + 5] = "poison"  # in chunk 1, which the worker renders
+    inp = _input_file(tmp_path, lines)
+    rc, (out, err) = _predict_both_ways(["predict", "--model", calibrated_model, "--input", inp], monkeypatch, capsys)
+    assert (rc, err, len(out.splitlines())) == (2, "error: out of memory: poison\n", INFERENCE_CHUNK)
+    assert len(forks) == 1
+
+
+def test_an_interrupt_in_predict_leaves_no_worker(forks, calibrated_model, texts, tmp_path, monkeypatch):
+    parent, chunks = os.getpid(), []
+
+    def interrupted(logits):
+        if os.getpid() == parent:
+            chunks.append(len(logits))
+            if len(chunks) == 2:  # chunk 2, while the worker holds chunk 3
+                raise KeyboardInterrupt
+        return class_probabilities(logits)
+
+    monkeypatch.setattr(cli, "class_probabilities", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["predict", "--model", calibrated_model, "--input", _input_file(tmp_path, texts)])
+    assert len(forks) == 1  # and the fixture checks that it was reaped
+
+
+def test_predict_exits_0_when_its_reader_closes(calibrated_model, texts, tmp_path):
+    inp = _input_file(tmp_path, texts)  # output well past a pipe buffer
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    proc = subprocess.Popen(**_predict_in_subprocess(calibrated_model, "--input", inp), **pipes)
+    try:
+        assert json.loads(proc.stdout.readline())["probs"]
+        proc.stdout.close()  # as `| head -1` does
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
 def _with_section(raw: bytes, index: int, payload: bytes) -> bytes:
     """Model bytes ``raw`` with section ``index`` (0 the header, 1 the vocabulary) replaced by ``payload``."""
     at = 8  # after the magic and the version

@@ -1,14 +1,15 @@
-"""one_blas_thread and forked: a pinned count comes back, a child's outcome
-reaches the parent, and no child outlives its block."""
+"""one_blas_thread, worker and forked: a pinned count comes back, a child's
+outcomes reach the parent in order, and no child outlives its block."""
 
 import os
+import posix
 import signal
 import time
 
 import numpy as np
 import pytest
 
-from opentc.parallel import forked, one_blas_thread
+from opentc.parallel import forked, one_blas_thread, worker
 from opentc.trainer import TrainingDivergedError
 
 
@@ -83,3 +84,49 @@ def test_forked_runs_in_process_on_one_cpu(monkeypatch):
         assert calls == []  # run when the block asks, as a serial run would
         assert result() == "value"
     assert calls == [os.getpid()]
+
+
+def test_worker_replies_in_submit_order_past_the_pipe_buffer(forks):
+    sizes = (3, 200_000, 5)  # 1.6 MB each way in the middle
+    with worker(lambda values: (os.getpid(), values * 2)) as submit:
+        assert forks == []  # forked at the first call
+        replies = [submit(np.arange(float(n))) for n in sizes]
+        results = [reply() for reply in reversed(replies)][::-1]
+    assert len(forks) == 1 and {pid for pid, _ in results} == set(forks)
+    for n, (_, values) in zip(sizes, results):
+        np.testing.assert_array_equal(values, np.arange(float(n)) * 2)
+
+
+def test_worker_raises_each_calls_exception_and_serves_on(forks):
+    def fn(epoch):
+        if epoch == 2:
+            raise TrainingDivergedError(epoch, 5)
+        return epoch
+
+    with worker(fn) as submit:
+        first, second, third = submit(1), submit(2), submit(3)
+        assert first() == 1
+        with pytest.raises(TrainingDivergedError, match="at epoch 2, batch 5"):
+            second()
+        assert third() == 3
+    assert len(forks) == 1
+
+
+def test_worker_runs_each_call_in_process_when_asked_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls = []
+    with worker(lambda n: calls.append((n, os.getpid())) or n * 10) as submit:
+        first, second = submit(1), submit(2)
+        assert calls == []
+        assert second() == 20 and calls == [(2, os.getpid())]
+        assert first() == 10 and calls == [(2, os.getpid()), (1, os.getpid())]
+
+
+def test_worker_moves_its_child_off_this_processs_cpu(forks, monkeypatch):
+    cpus = posix.sched_getaffinity(0)  # the real mask, which the fixture hides
+    if len(cpus) < 2:
+        pytest.skip("this process may use one CPU, so there is nowhere else to move the child")
+    monkeypatch.setattr(os, "sched_getaffinity", posix.sched_getaffinity)
+    with worker(lambda _: posix.sched_getaffinity(0)) as submit:
+        child_cpus = submit(None)()
+    assert len(forks) == 1 and child_cpus < cpus and len(child_cpus) == len(cpus) - 1
