@@ -14,6 +14,7 @@ from opentc.tensor import (
     embed_lookup,
     grad_check,
     max_over_time,
+    node,
     relu,
 )
 
@@ -50,16 +51,11 @@ print(f"embedding rows touched: {np.flatnonzero(np.abs(table.grad).sum(axis=1))}
 
 
 # The same network as a scalar loss, checked against finite differences.
+# A new op records its backward with ``node``, whose ``back`` gets the
+# gradient of the op's output.
 def loss(tape):
     s = score(tape)
-    sq = Tensor(s.data[0] ** 2)
-
-    def back():
-        if sq.grad is not None:
-            s.accumulate(np.array([2.0 * s.data[0] * float(sq.grad)]))
-
-    tape.push(back)
-    return sq
+    return node(tape, s.data[0] ** 2, lambda g: s.accumulate(np.array([2.0 * s.data[0] * float(g)])))
 
 
 err = grad_check(loss, [table, filters, fbias, w, b])

@@ -13,7 +13,7 @@ from .calibration import DEFAULT_ALPHA, ThresholdVector, check_alpha, check_logi
 from .data import Document, check_seed
 from .encoder import ModelSpec, batched_logits
 from .head import class_probabilities, open_predictions
-from .parallel import forked, one_blas_thread
+from .parallel import one_blas_thread, worker
 from .trainer import HEAD_SOFTMAX, TrainConfig, train
 
 METHOD_DOC = "doc"
@@ -167,7 +167,7 @@ def run_single(spec: ExperimentSpec, docs: list[Document], fraction_index: int, 
     Every method within a repetition shares the same class subset and data
     split, so the comparison is paired. It runs at one BLAS thread, so its
     scores are the same at any caller's thread count, and the softmax head
-    trains in a child process where ``forked`` can start one.
+    trains in a child process where ``worker`` can fork one.
     """
     split_seed = _derive_seed(spec.seed, fraction_index, rep, 0)
     train_seed = _derive_seed(spec.seed, fraction_index, rep, 1)
@@ -175,12 +175,13 @@ def run_single(spec: ExperimentSpec, docs: list[Document], fraction_index: int, 
     enc_split, _, enc_cfg = spec.model.prepare(docs, spec.fractions[fraction_index], split_seed)
     train_docs, test_docs = enc_split.train, enc_split.test
 
-    def softmax_test_logits() -> np.ndarray:
-        sm_params, _ = train(enc_split, enc_cfg, spec.train_config, seed=train_seed, head=HEAD_SOFTMAX)
-        return batched_logits(sm_params, test_docs.ids)
+    def test_logits(head: str) -> np.ndarray:
+        params, _ = train(enc_split, enc_cfg, spec.train_config, seed=train_seed, head=head)
+        return batched_logits(params, test_docs.ids)
 
     # the softmax head trains in a forked child while this process trains the DOC head
-    with one_blas_thread(), forked(softmax_test_logits) as sm_test_logits:
+    with one_blas_thread(), worker(test_logits) as submit:
+        sm_test_logits = submit(HEAD_SOFTMAX)
         doc_params, _ = train(enc_split, enc_cfg, spec.train_config, seed=train_seed)
         # one forward per (model, split); both DOC methods score the same test logits
         thresholds = fit_thresholds(batched_logits(doc_params, train_docs.ids), train_docs.labels, spec.alpha)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, node
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,11 @@ def ovr_loss(tape: Tape, logits: Tensor, labels) -> Tensor:
     targets = _one_hot(labels, m)
     # softplus identity: max(z,0) - z*t + log(1 + exp(-|z|))
     per_elem = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
-    out = Tensor(per_elem.sum())
 
-    def back() -> None:
-        if out.grad is None:
-            return
-        g = (_stable_sigmoid(z) - targets) * out.grad
-        logits.accumulate(g.reshape(logits.shape))
+    def back(g: np.ndarray) -> None:
+        logits.accumulate(((_stable_sigmoid(z) - targets) * g).reshape(logits.shape))
 
-    tape.push(back)
-    return out
+    return node(tape, per_elem.sum(), back)
 
 
 def softmax_loss(tape: Tape, logits: Tensor, labels) -> Tensor:
@@ -82,17 +77,12 @@ def softmax_loss(tape: Tape, logits: Tensor, labels) -> Tensor:
     zmax = z.max(axis=1, keepdims=True)
     shifted = z - zmax
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = Tensor((lse.ravel() + zmax.ravel() - z[np.arange(labels.size), labels]).sum())
     softmax = np.exp(shifted - lse)
 
-    def back() -> None:
-        if out.grad is None:
-            return
-        g = (softmax - _one_hot(labels, m)) * out.grad
-        logits.accumulate(g.reshape(logits.shape))
+    def back(g: np.ndarray) -> None:
+        logits.accumulate(((softmax - _one_hot(labels, m)) * g).reshape(logits.shape))
 
-    tape.push(back)
-    return out
+    return node(tape, (lse.ravel() + zmax.ravel() - z[np.arange(labels.size), labels]).sum(), back)
 
 
 def class_probabilities(logits: np.ndarray) -> np.ndarray:

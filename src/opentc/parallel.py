@@ -5,8 +5,8 @@ moderately sized GEMMs round differently under two threads, so a fixed count
 gives the same bits at any caller setting. ``worker(fn)`` forks one child, at
 its first call, that applies ``fn`` to each argument sent to it and replies
 in order while the parent works on: ``predict`` renders every other chunk of
-a file input in one. ``forked(fn)`` is its one-call form, which lets the
-sweep train its two heads at once on a host with two or more CPUs.
+a file input in one, and the sweep trains its two heads at once, one in each
+process, on a host with two or more CPUs.
 """
 
 from __future__ import annotations
@@ -103,14 +103,6 @@ def worker(fn: Callable[[A], T]) -> Iterator[Callable[[A], Callable[[], T]]]:
         yield child.submit
     finally:
         child.close()
-
-
-@contextmanager
-def forked(fn: Callable[[], T]) -> Iterator[Callable[[], T]]:
-    """Run ``fn()`` in a forked ``worker`` while the ``with`` block runs. The
-    block gets a call that returns ``fn``'s value or raises its exception."""
-    with worker(lambda _: fn()) as submit:
-        yield submit(None)
 
 
 class _Child:

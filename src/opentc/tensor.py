@@ -13,7 +13,9 @@ tape it pools by max alone. Valid 1-D convolution and max-over-time pooling
 also exist as separate ops, the plain reference the fused op is tested
 against. All ops accept an optional leading batch dimension.
 Gradients are recorded on an explicit ``Tape`` and replayed in exact reverse
-execution order.
+execution order. Every op, the losses in ``head`` too, records its backward
+the one way: it ends with ``return node(tape, value, back)``, where
+``back(g)`` adds the output gradient ``g``'s share to each input's gradient.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ class Tape:
     ``backward`` replays them in reverse. A tape created with
     ``record=False`` skips recording entirely, which is the inference mode;
     an op may then skip work that only its backward reads, as
-    ``conv_max_pool`` skips the argmax.
-    Nodes that are not on any path to the loss keep a zero (None) gradient:
-    their closures see ``out.grad is None`` and do nothing.
+    ``conv_max_pool`` skips the argmax, and ``backward`` refuses it.
+    Ops record through ``node``, whose step passes nothing on while its
+    output's gradient is None: nodes that are not on any path to the loss
+    keep a zero (None) gradient.
     """
 
     def __init__(self, record: bool = True) -> None:
@@ -77,11 +80,23 @@ class Tape:
             self._steps.append(fn)
 
     def backward(self, loss: Tensor) -> None:
+        if not self.record:
+            raise ValueError("backward on a tape that does not record")
         if loss.data.shape != ():
             raise ValueError("backward requires a scalar loss")
         loss.accumulate(np.ones(()))
         for fn in reversed(self._steps):
             fn()
+
+
+def node(tape: Tape, data, back: Callable[[np.ndarray], None]) -> Tensor:
+    """An op's output ``Tensor(data)``, with the op's backward on ``tape``: a
+    step that calls ``back`` with the output's gradient once it has one, and
+    does nothing while it has none. It reaches the tape only through
+    ``push``, so a stand-in that wraps ``push`` sees every backward step."""
+    result = Tensor(data)
+    tape.push(lambda: result.grad is None or back(result.grad))
+    return result
 
 
 def embed_lookup(tape: Tape, ids, table: Tensor) -> Tensor:
@@ -90,19 +105,15 @@ def embed_lookup(tape: Tape, ids, table: Tensor) -> Tensor:
     vocab_size = table.data.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ValueError(f"token id out of range [0, {vocab_size})")
-    out = Tensor(table.data[ids])
 
-    def back() -> None:
-        if out.grad is None:
-            return
+    def back(g: np.ndarray) -> None:
         edim = table.data.shape[1]
-        g = _scatter_add(ids[..., None] * edim + np.arange(edim), out.grad, table.data.size)
-        g = g.reshape(table.data.shape)
-        g[PAD_ID] = 0.0
-        table.accumulate(g)
+        d_table = _scatter_add(ids[..., None] * edim + np.arange(edim), g, table.data.size)
+        d_table = d_table.reshape(table.data.shape)
+        d_table[PAD_ID] = 0.0
+        table.accumulate(d_table)
 
-    tape.push(back)
-    return out
+    return node(tape, table.data[ids], back)
 
 
 def _scatter_add(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -139,12 +150,8 @@ def conv1d_valid(tape: Tape, x: Tensor, filters: Tensor, bias: Tensor) -> Tensor
     conv = x.data[..., :steps, :] @ filters.data[:, 0].T
     for j in range(1, width):
         conv += x.data[..., j : j + steps, :] @ filters.data[:, j].T
-    out = Tensor(conv + bias.data)
 
-    def back() -> None:
-        if out.grad is None:
-            return
-        g = out.grad  # (..., T, F)
+    def back(g: np.ndarray) -> None:  # g: (..., T, F)
         g2 = g.reshape(-1, num_filters)
         dx = np.zeros_like(x.data)
         d_filters = np.empty(filters.shape)
@@ -155,8 +162,7 @@ def conv1d_valid(tape: Tape, x: Tensor, filters: Tensor, bias: Tensor) -> Tensor
         filters.accumulate(d_filters)
         bias.accumulate(g2.sum(axis=0))
 
-    tape.push(back)
-    return out
+    return node(tape, conv + bias.data, back)
 
 
 def conv_max_pool(tape: Tape, inv, rows: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
@@ -229,12 +235,9 @@ def conv_max_pool(tape: Tape, inv, rows: Tensor, filters: Tensor, bias: Tensor) 
     unsort = np.argsort(order)  # document n's position in the sorted order
     pooled = pooled.reshape(num_docs, num_filters)[unsort]
     idx = None if idx is None else idx.reshape(num_docs, num_filters)[unsort]
-    out = Tensor((pooled + bias.data).reshape(*inv.shape[:-1], num_filters))
 
-    def back() -> None:
-        if out.grad is None:
-            return
-        g = out.grad.reshape(-1, num_filters)  # (N, F)
+    def back(g: np.ndarray) -> None:
+        g = g.reshape(-1, num_filters)  # (N, F)
         d_filters = np.empty(filters.shape)
         d_rows = np.zeros(rows.shape)
         for j in range(width):
@@ -248,8 +251,7 @@ def conv_max_pool(tape: Tape, inv, rows: Tensor, filters: Tensor, bias: Tensor) 
         bias.accumulate(g.sum(axis=0))
         rows.accumulate(d_rows)
 
-    tape.push(back)
-    return out
+    return node(tape, (pooled + bias.data).reshape(*inv.shape[:-1], num_filters), back)
 
 
 def max_over_time(tape: Tape, x: Tensor) -> Tensor:
@@ -257,17 +259,13 @@ def max_over_time(tape: Tape, x: Tensor) -> Tensor:
     if x.shape[-2] == 0:
         raise ValueError("max_over_time over an empty time axis")
     idx = np.argmax(x.data, axis=-2)  # first maximizing index per column
-    out = Tensor(np.take_along_axis(x.data, idx[..., None, :], axis=-2).squeeze(-2))
 
-    def back() -> None:
-        if out.grad is None:
-            return
+    def back(g: np.ndarray) -> None:
         dx = np.zeros_like(x.data)
-        np.put_along_axis(dx, idx[..., None, :], out.grad[..., None, :], axis=-2)
+        np.put_along_axis(dx, idx[..., None, :], g[..., None, :], axis=-2)
         x.accumulate(dx)
 
-    tape.push(back)
-    return out
+    return node(tape, np.take_along_axis(x.data, idx[..., None, :], axis=-2).squeeze(-2), back)
 
 
 def dense(tape: Tape, x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -277,50 +275,33 @@ def dense(tape: Tape, x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"input dim {x.shape[-1]} != weight dim {a_dim}")
     if bias.shape != (b_dim,):
         raise ValueError("bias shape must match weight rows")
-    out = Tensor(x.data @ weight.data.T + bias.data)
 
-    def back() -> None:
-        if out.grad is None:
-            return
-        g = out.grad
+    def back(g: np.ndarray) -> None:
         x.accumulate(g @ weight.data)
         g2 = g.reshape(-1, b_dim)
         weight.accumulate(g2.T @ x.data.reshape(-1, a_dim))
         bias.accumulate(g2.sum(axis=0))
 
-    tape.push(back)
-    return out
+    return node(tape, x.data @ weight.data.T + bias.data, back)
 
 
 def relu(tape: Tape, x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(0.0, x.data))
-
-    def back() -> None:
-        if out.grad is None:
-            return
-        x.accumulate(out.grad * (x.data > 0))
-
-    tape.push(back)
-    return out
+    return node(tape, np.maximum(0.0, x.data), lambda g: x.accumulate(g * (x.data > 0)))
 
 
 def concat(tape: Tape, parts: Sequence[Tensor]) -> Tensor:
     """Concatenate along the last axis."""
     if not parts:
         raise ValueError("concat of no tensors")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
     sizes = [p.shape[-1] for p in parts]
 
-    def back() -> None:
-        if out.grad is None:
-            return
+    def back(g: np.ndarray) -> None:
         offset = 0
         for p, size in zip(parts, sizes):
-            p.accumulate(out.grad[..., offset : offset + size])
+            p.accumulate(g[..., offset : offset + size])
             offset += size
 
-    tape.push(back)
-    return out
+    return node(tape, np.concatenate([p.data for p in parts], axis=-1), back)
 
 
 def grad_check(
@@ -330,10 +311,11 @@ def grad_check(
 
     ``build`` reruns the full forward pass on a fresh tape and returns the
     scalar loss. Relative error per component is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8); a NaN in any
+    component makes the result NaN, so no ``< tol`` check passes it.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be finite and positive")
     params = list(params)
     tape = Tape()
     loss = build(tape)
@@ -357,5 +339,5 @@ def grad_check(
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             err = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
-            worst = max(worst, err)
+            worst = float(np.maximum(worst, err))  # max(0.0, nan) would give 0.0
     return worst

@@ -50,11 +50,11 @@ def no_child_left() -> bool:
 
 @pytest.fixture
 def forks(monkeypatch):
-    """One BLAS thread and two CPUs in view, so ``forked`` forks on any host
-    with OpenBLAS. Yields the pids it forked and checks that none outlives
-    the test."""
+    """One BLAS thread and two CPUs in view, so a ``worker`` forks on any
+    host with OpenBLAS. Yields the pids it forked and checks that none
+    outlives the test."""
     if not parallel._openblas():
-        pytest.skip("no OpenBLAS is loaded, so forked never forks")
+        pytest.skip("no OpenBLAS is loaded, so a worker never forks")
     pids = []
     real_fork = os.fork
 

@@ -28,6 +28,12 @@ TRACED = (
     "evaluation.evaluate",
     "evaluation.evaluate_closed",
     "trainer.evaluate_loss",
+    # backward spans, empty if an op's backward stops reaching the tape through push
+    "tensor.embed_lookup.bwd",
+    "tensor.relu.bwd",
+    "tensor.dense.bwd",
+    "tensor.concat.bwd",
+    "head.ovr_loss.bwd",
 )
 
 

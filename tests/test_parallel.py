@@ -1,4 +1,4 @@
-"""one_blas_thread, worker and forked: a pinned count comes back, a child's
+"""one_blas_thread and worker: a pinned count comes back, a child's
 outcomes reach the parent in order, and no child outlives its block."""
 
 import os
@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from opentc.parallel import forked, one_blas_thread, worker
+from opentc.parallel import one_blas_thread, worker
 from opentc.trainer import TrainingDivergedError
 
 
@@ -32,32 +32,33 @@ def test_one_blas_thread_pins_and_gives_the_count_back(two_blas_threads):
 
 
 def test_forked_returns_the_childs_value_past_the_pipe_buffer(forks):
-    with forked(lambda: (os.getpid(), np.arange(200_000.0))) as result:  # 1.6 MB
-        pid, values = result()
+    with worker(lambda _: (os.getpid(), np.arange(200_000.0))) as submit:  # 1.6 MB
+        pid, values = submit(None)()
     assert forks == [pid] and pid != os.getpid()
     np.testing.assert_array_equal(values, np.arange(200_000.0))
 
 
 def test_forked_raises_the_childs_exception(forks):
-    def diverge():
+    def diverge(_):
         raise TrainingDivergedError(2, 5)
 
-    with pytest.raises(TrainingDivergedError, match="at epoch 2, batch 5") as info, forked(diverge) as result:
-        result()
+    with pytest.raises(TrainingDivergedError, match="at epoch 2, batch 5") as info, worker(diverge) as submit:
+        submit(None)()
     assert (info.value.epoch, info.value.batch) == (2, 5) and len(forks) == 1
 
 
 @pytest.mark.parametrize("rebuild_fails", [False, True], ids=["dumps-fails", "loads-fails"])
-def test_forked_reports_an_exception_that_cannot_be_pickled(forks, rebuild_fails):
+def test_worker_reports_an_exception_that_cannot_be_pickled(forks, rebuild_fails):
     class Local(ValueError):  # a class pickle cannot find by name
         pass
 
-    def fail():
+    def fail(_):
         raise _RebuildFails(1, 2) if rebuild_fails else Local("1/2")
 
     name = "_RebuildFails" if rebuild_fails else "Local"
-    with pytest.raises(ChildProcessError, match=f"raised {name}, which cannot be pickled: 1/2"), forked(fail) as result:
-        result()
+    with pytest.raises(ChildProcessError, match=f"raised {name}, which cannot be pickled: 1/2"), worker(fail) as submit:
+        submit(None)()
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize(
@@ -66,13 +67,14 @@ def test_forked_reports_an_exception_that_cannot_be_pickled(forks, rebuild_fails
     ids=["killed", "exit-without-result"],
 )
 def test_a_child_that_ends_without_a_result_raises_child_process_error(forks, end, how):
-    with pytest.raises(ChildProcessError, match=f"without a result \\({how}\\)"), forked(end) as result:
-        result()
+    with pytest.raises(ChildProcessError, match=f"without a result \\({how}\\)"), worker(lambda _: end()) as submit:
+        submit(None)()
 
 
-def test_forked_kills_the_child_when_the_block_raises(forks):
+def test_worker_kills_the_child_when_the_block_raises(forks):
     start = time.monotonic()
-    with pytest.raises(MemoryError), forked(lambda: time.sleep(60)):
+    with pytest.raises(MemoryError), worker(time.sleep) as submit:
+        submit(60)
         raise MemoryError
     assert len(forks) == 1 and time.monotonic() - start < 30  # the fixture checks it was reaped
 
@@ -80,7 +82,8 @@ def test_forked_kills_the_child_when_the_block_raises(forks):
 def test_forked_runs_in_process_on_one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = []
-    with forked(lambda: calls.append(os.getpid()) or "value") as result:
+    with worker(lambda _: calls.append(os.getpid()) or "value") as submit:
+        result = submit(None)
         assert calls == []  # run when the block asks, as a serial run would
         assert result() == "value"
     assert calls == [os.getpid()]
@@ -106,8 +109,9 @@ def test_worker_raises_each_calls_exception_and_serves_on(forks):
     with worker(fn) as submit:
         first, second, third = submit(1), submit(2), submit(3)
         assert first() == 1
-        with pytest.raises(TrainingDivergedError, match="at epoch 2, batch 5"):
+        with pytest.raises(TrainingDivergedError, match="at epoch 2, batch 5") as info:
             second()
+        assert (info.value.epoch, info.value.batch) == (2, 5)
         assert third() == 3
     assert len(forks) == 1
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from opentc.data import Vocabulary, encode_documents, tokenize
 from opentc.encoder import INFERENCE_CHUNK
-from opentc import tensor
+from opentc import head, tensor
 from opentc.head import ovr_loss
 from opentc.synthetic import generate_synthetic_dataset
 from opentc.tensor import (
@@ -20,6 +22,7 @@ from opentc.tensor import (
     embed_lookup,
     grad_check,
     max_over_time,
+    node,
     relu,
 )
 
@@ -102,15 +105,7 @@ def test_conv_gradient_matches_finite_differences():
 
 def _sum(tape, t):
     """Scalar reduction used only by tests so grad_check sees a scalar loss."""
-
-    def back():
-        if out.grad is None:
-            return
-        t.accumulate(np.full_like(t.data, float(out.grad)))
-
-    out = Tensor(t.data.sum())
-    tape.push(back)
-    return out
+    return node(tape, t.data.sum(), lambda g: t.accumulate(np.full_like(t.data, float(g))))
 
 
 def test_max_over_time_basics():
@@ -195,6 +190,32 @@ def test_grad_check_rejects_nonscalar():
     x = Tensor(np.zeros(2))
     with pytest.raises(ValueError):
         grad_check(lambda tape: relu(tape, x), [x])
+
+
+def _dense_ovr(x, w, b):
+    """grad_check's ``build`` for a dense layer under the one-vs-rest loss."""
+    return lambda tape: ovr_loss(tape, dense(tape, x, w, b), [1])
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
+def test_grad_check_refuses_an_eps_that_is_not_finite_and_positive(eps):
+    x, w, b = Tensor([1.0, -2.0]), Tensor([[0.5, 0.25], [-1.0, 2.0]]), Tensor([0.0, 0.1])
+    with pytest.raises(ValueError, match="finite and positive"):
+        grad_check(_dense_ovr(x, w, b), [w, b], eps=eps)
+
+
+def test_grad_check_reports_nan_for_a_parameter_holding_nan():
+    x, w, b = Tensor([1.0, -2.0]), Tensor([[0.5, np.nan], [-1.0, 2.0]]), Tensor([0.0, 0.1])
+    assert np.isnan(grad_check(_dense_ovr(x, w, b), [w, b]))  # so no ``< tol`` passes it
+
+
+def test_backward_on_a_tape_that_does_not_record_raises():
+    x = Tensor([1.0, 2.0])
+    tape = Tape(record=False)
+    loss = _sum(tape, relu(tape, x))
+    with pytest.raises(ValueError, match="does not record"):
+        tape.backward(loss)
+    assert x.grad is None
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -510,11 +531,54 @@ def test_forward_bit_identical_across_runs():
     assert np.array_equal(a, c)
 
 
-def test_off_path_node_keeps_zero_gradient():
+def _normal(*shape):
+    return Tensor(np.random.default_rng(len(shape)).normal(size=shape))
+
+
+# Arguments after the tape for each op of tensor and head, built per case
+OFF_PATH_ARGS = {
+    "embed_lookup": lambda: ([1, 2], _normal(4, 3)),
+    "conv1d_valid": lambda: (_normal(5, 3), _normal(2, 2, 3), _normal(2)),
+    "conv_max_pool": lambda: ([[0, 1, 2, 1]], _normal(3, 3), _normal(2, 2, 3), _normal(2)),
+    "max_over_time": lambda: (_normal(4, 2),),
+    "dense": lambda: (_normal(3), _normal(2, 3), _normal(2)),
+    "relu": lambda: (_normal(3),),
+    "concat": lambda: ([_normal(2), _normal(3)],),
+    "node": lambda: (np.ones(3), _normal(3).accumulate),
+    "ovr_loss": lambda: (_normal(2, 3), [0, 2]),
+    "softmax_loss": lambda: (_normal(2, 3), [0, 2]),
+}
+
+
+def _tape_ops():
+    """Every function of tensor and head whose first parameter is the tape."""
+    return [
+        pytest.param(fn, id=name)
+        for module in (tensor, head)
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == module.__name__
+        and next(iter(inspect.signature(fn).parameters), None) == "tape"
+    ]
+
+
+def _inputs(args):
+    """The Tensors among an op's arguments: given directly, in a list, or as
+    the owner of a bound ``accumulate``."""
+    for arg in args:
+        for item in arg if isinstance(arg, list) else [getattr(arg, "__self__", arg)]:
+            if isinstance(item, Tensor):
+                yield item
+
+
+@pytest.mark.parametrize("op", _tape_ops())
+def test_off_path_node_keeps_zero_gradient(op):
+    assert op.__name__ in OFF_PATH_ARGS, f"{op.__name__} takes a tape but has no off-path case"
+    args = OFF_PATH_ARGS[op.__name__]()
+    inputs = list(_inputs(args))
     x = Tensor(np.array([1.0, 2.0]))
-    y = Tensor(np.array([3.0, 4.0]))
     tape = Tape()
-    relu(tape, y)  # recorded but not connected to the loss
-    loss = _sum(tape, relu(tape, x))
-    tape.backward(loss)
-    assert y.grad is None
+    op(tape, *args)  # recorded but not connected to the loss
+    tape.backward(_sum(tape, relu(tape, x)))
+    assert len(tape._steps) == 3 and x.grad is not None
+    assert inputs and all(t.grad is None for t in inputs)
