@@ -219,17 +219,15 @@ def cmd_predict(args) -> int:
         # chunk k+1 goes to the worker while this process renders chunk k.
         ahead = stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
         try:
-            with worker(render) as submit:
+            with worker(render) as alongside:
                 while chunk := list(islice(stream, INFERENCE_CHUNK)):
                     try:
                         after = list(islice(stream, INFERENCE_CHUNK)) if ahead else []
                     except (ValueError, OSError):  # a decode or read error: print what came before it
                         write(render(chunk))
                         raise
-                    reply = submit(after) if after else None
-                    write(render(chunk))
-                    if reply is not None:
-                        write(reply())
+                    # chunk k prints inside the call, so it is out before any error of the worker's
+                    write(alongside(after, lambda: write(render(chunk)))[1] if after else render(chunk))
         except BrokenPipeError:  # the reader is gone, as under `| head`: not an error
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())  # so the exit's last flush stays silent

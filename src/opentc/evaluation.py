@@ -166,8 +166,8 @@ def run_single(spec: ExperimentSpec, docs: list[Document], fraction_index: int, 
 
     Every method within a repetition shares the same class subset and data
     split, so the comparison is paired. It runs at one BLAS thread, so its
-    scores are the same at any caller's thread count, and the softmax head
-    trains in a child process where ``worker`` can fork one.
+    scores are the same at any caller's thread count. The softmax head trains
+    beside the DOC head, in a child process where ``worker`` can fork one.
     """
     split_seed = _derive_seed(spec.seed, fraction_index, rep, 0)
     train_seed = _derive_seed(spec.seed, fraction_index, rep, 1)
@@ -179,14 +179,15 @@ def run_single(spec: ExperimentSpec, docs: list[Document], fraction_index: int, 
         params, _ = train(enc_split, enc_cfg, spec.train_config, seed=train_seed, head=head)
         return batched_logits(params, test_docs.ids)
 
-    # the softmax head trains in a forked child while this process trains the DOC head
-    with one_blas_thread(), worker(test_logits) as submit:
-        sm_test_logits = submit(HEAD_SOFTMAX)
+    def doc_head() -> tuple[ThresholdVector, np.ndarray]:
         doc_params, _ = train(enc_split, enc_cfg, spec.train_config, seed=train_seed)
         # one forward per (model, split); both DOC methods score the same test logits
         thresholds = fit_thresholds(batched_logits(doc_params, train_docs.ids), train_docs.labels, spec.alpha)
-        doc_test = batched_logits(doc_params, test_docs.ids)
-        sm_test = sm_test_logits()
+        return thresholds, batched_logits(doc_params, test_docs.ids)
+
+    # the softmax head trains in a forked child while this process trains the DOC head
+    with one_blas_thread(), worker(test_logits) as alongside:
+        (thresholds, doc_test), sm_test = alongside(HEAD_SOFTMAX, doc_head)
     return {
         METHOD_DOC: macro_f1(evaluate(doc_test, thresholds, test_docs.labels)),
         METHOD_DOC_T05: macro_f1(evaluate(doc_test, fixed_thresholds(enc_cfg.num_classes), test_docs.labels)),

@@ -3,10 +3,10 @@
 ``one_blas_thread()`` runs a block with the loaded OpenBLAS at one thread:
 moderately sized GEMMs round differently under two threads, so a fixed count
 gives the same bits at any caller setting. ``worker(fn)`` forks one child, at
-its first call, that applies ``fn`` to each argument sent to it and replies
-in order while the parent works on: ``predict`` renders every other chunk of
-a file input in one, and the sweep trains its two heads at once, one in each
-process, on a host with two or more CPUs.
+its first call, and each call applies ``fn`` to an argument there while the
+parent runs work of its own beside it: ``predict`` renders every other chunk
+of a file input in one, and the sweep trains its two heads at once, one in
+each process, on a host with two or more CPUs.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import pickle
 import signal
 from contextlib import contextmanager, suppress
 from functools import cache
-from typing import BinaryIO, Callable, Iterator, NoReturn, TypeVar
+from typing import Callable, Iterator, NoReturn, TypeVar
 
 A = TypeVar("A")
+R = TypeVar("R")
 T = TypeVar("T")
 
 # Exported thread-count setters and getters, by build: numpy's and scipy's
@@ -81,60 +82,56 @@ def _can_fork() -> bool:
 
 
 @contextmanager
-def worker(fn: Callable[[A], T]) -> Iterator[Callable[[A], Callable[[], T]]]:
+def worker(fn: Callable[[A], T]) -> Iterator[Callable[[A, Callable[[], R]], tuple[R, T]]]:
     """Serve calls of ``fn`` from one forked child while the ``with`` block
-    runs. The block gets ``submit``: ``submit(arg)`` sends ``arg`` to the child
-    and returns a call that gives ``fn(arg)`` or raises its exception.
+    runs. The block gets ``alongside``: ``alongside(arg, own)`` sends ``arg``
+    to the child, runs ``own()`` here meanwhile and returns ``(own(),
+    fn(arg))``, raising ``own``'s exception first. So one call is in flight at
+    a time, and neither process can block on a full pipe while the other does.
 
-    The child forks at the first ``submit``, and only where ``_can_fork()``
-    holds; otherwise each call runs ``fn`` in this process when its result is
-    asked for. The child may use every CPU of this process but the one this
-    process runs on at the fork. One call is in flight at a time: ``submit``
-    first reads the reply to the call before it, so neither process can block
-    on a full pipe while the other does. The child writes nothing but its
-    replies. It is killed and reaped when the block ends, and a child that
-    ends without a reply raises ``ChildProcessError``.
+    The child forks at the first call where ``_can_fork()`` holds; otherwise
+    ``own`` and then ``fn`` run here. It may use every CPU of this process but
+    the one this process runs on at the fork, and writes nothing but replies.
+    It is killed and reaped when the block ends or ``own`` raises, and one
+    that ends without a whole reply raises ``ChildProcessError``.
     """
     if not _can_fork():
-        yield lambda arg: lambda: fn(arg)
+        yield lambda arg, own: (own(), fn(arg))
         return
     child = _Child(fn)
     try:
-        yield child.submit
+        yield child.alongside
     finally:
         child.close()
 
 
 class _Child:
-    """The parent's end of a ``worker``: the child's pid, a pipe of requests
-    and a pipe of replies, each frame a length-prefixed pickle."""
+    """The parent's end of a ``worker``: the child's pid and two pipes of pickles."""
 
     def __init__(self, fn: Callable) -> None:
         self.fn = fn
-        self.pid = 0  # forked at the first submit
+        self.pid = 0  # forked at the first call
         self.reaped = False
-        self.unread: list | None = None  # the outcome box of the call whose reply is in flight
 
-    def submit(self, arg: object) -> Callable[[], object]:
+    def alongside(self, arg: object, own: Callable[[], R]) -> tuple[R, object]:
         if not self.pid:
             self._fork()
-        self._read_reply()
         try:
             _send(self.requests, pickle.dumps(arg))
         except BrokenPipeError:  # the child ended before it read the request
             raise self._ended() from None
-        box: list = []
-        self.unread = box
-
-        def result() -> object:
-            if box is self.unread:
-                self._read_reply()
-            ok, value = box[0]
-            if not ok:
-                raise value
-            return value
-
-        return result
+        try:
+            mine = own()
+        except BaseException:
+            self.close()  # its reply is never read: a later call forks afresh
+            raise
+        try:
+            ok, value = pickle.load(self.replies)
+        except (EOFError, pickle.UnpicklingError):  # the child ended before or during its reply
+            raise self._ended() from None
+        if not ok:
+            raise value
+        return mine, value
 
     def _fork(self) -> None:
         requests_r, self.requests = os.pipe()
@@ -152,14 +149,6 @@ class _Child:
         with suppress(OSError):  # where it cannot, the child still works
             os.sched_setaffinity(self.pid, os.sched_getaffinity(0) - {_this_cpu()})
 
-    def _read_reply(self) -> None:
-        if self.unread is not None:
-            payload = _receive(self.replies)
-            if payload is None:
-                raise self._ended()
-            self.unread.append(pickle.loads(payload))
-            self.unread = None
-
     def _ended(self) -> ChildProcessError:
         code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.reaped = True
@@ -174,6 +163,7 @@ class _Child:
         if not self.reaped:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
+        self.pid, self.reaped = 0, False
 
 
 def _this_cpu() -> int:
@@ -188,10 +178,11 @@ def _serve(fn: Callable, requests: int, replies: int) -> NoReturn:
     the parent's exit handlers and flushes none of its buffers."""
     code = 1
     try:
-        with os.fdopen(requests, "rb") as inbox:
-            while (payload := _receive(inbox)) is not None:
+        with os.fdopen(requests, "rb") as inbox, suppress(EOFError):  # EOF: the parent closed it
+            while True:
+                arg = pickle.load(inbox)
                 try:
-                    reply = pickle.dumps((True, fn(pickle.loads(payload))))
+                    reply = pickle.dumps((True, fn(arg)))
                 except BaseException as exc:  # the parent raises it
                     reply = _pickled_error(exc)
                 _send(replies, reply)
@@ -201,21 +192,11 @@ def _serve(fn: Callable, requests: int, replies: int) -> NoReturn:
 
 
 def _send(fd: int, payload: bytes) -> None:
-    """Write one frame to the pipe ``fd``. Unbuffered, so a pipe whose reader
-    is gone leaves nothing behind for a later close to flush."""
-    frame = memoryview(len(payload).to_bytes(8, "little") + payload)
-    while frame:
-        frame = frame[os.write(fd, frame) :]
-
-
-def _receive(pipe: BinaryIO) -> bytes | None:
-    """The next payload that ``_send`` wrote, or None at the end of the pipe."""
-    header = pipe.read(8)
-    if len(header) < 8:
-        return None
-    size = int.from_bytes(header, "little")
-    payload = pipe.read(size)
-    return payload if len(payload) == size else None
+    """Write all of ``payload`` to the pipe ``fd``, in as many writes as it
+    takes. Unbuffered, so a pipe whose reader is gone keeps nothing to flush."""
+    rest = memoryview(payload)
+    while rest:
+        rest = rest[os.write(fd, rest) :]
 
 
 def _pickled_error(exc: BaseException) -> bytes:

@@ -65,7 +65,8 @@ class Tape:
     ``backward`` replays them in reverse. A tape created with
     ``record=False`` skips recording entirely, which is the inference mode;
     an op may then skip work that only its backward reads, as
-    ``conv_max_pool`` skips the argmax, and ``backward`` refuses it.
+    ``conv_max_pool`` skips the argmax, and ``backward`` refuses it. It also
+    refuses a second ``backward``, which would add to the first's gradients.
     Ops record through ``node``, whose step passes nothing on while its
     output's gradient is None: nodes that are not on any path to the loss
     keep a zero (None) gradient.
@@ -74,6 +75,7 @@ class Tape:
     def __init__(self, record: bool = True) -> None:
         self.record = record
         self._steps: list[Callable[[], None]] = []
+        self.replayed = False
 
     def push(self, fn: Callable[[], None]) -> None:
         if self.record:
@@ -84,6 +86,9 @@ class Tape:
             raise ValueError("backward on a tape that does not record")
         if loss.data.shape != ():
             raise ValueError("backward requires a scalar loss")
+        if self.replayed:
+            raise ValueError("backward on a tape that already ran it")
+        self.replayed = True
         loss.accumulate(np.ones(()))
         for fn in reversed(self._steps):
             fn()

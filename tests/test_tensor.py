@@ -218,6 +218,20 @@ def test_backward_on_a_tape_that_does_not_record_raises():
     assert x.grad is None
 
 
+def test_a_second_backward_on_one_tape_raises_and_keeps_the_first_gradients():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(4, 3)))
+    w, b = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=3))
+    tape = Tape()
+    loss = ovr_loss(tape, dense(tape, dense(tape, x, w, b), w, b), np.array([0, 1, 2, 0]))
+    tape.backward(loss)
+    first = [t.grad.copy() for t in (x, w, b)]
+    with pytest.raises(ValueError, match="already ran it"):
+        tape.backward(loss)
+    for t, grad in zip((x, w, b), first):
+        np.testing.assert_array_equal(t.grad, grad)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_randomized_composite_gradients(seed):
     rng = np.random.default_rng(seed)
