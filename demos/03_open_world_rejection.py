@@ -30,8 +30,8 @@ test_logits = batched_logits(params, enc.test.ids)  # one forward, scored under 
 for label, tv in [("calibrated", thresholds), ("fixed t=0.5", fixed_thresholds(cfg.num_classes))]:
     cm = evaluate(test_logits, tv, enc.test.labels)
     m = cfg.num_classes
-    unseen_total = cm.counts[m].sum()
-    rejected = cm.counts[m, m]
+    unseen_total = cm[m].sum()
+    rejected = cm[m, m]
     print(
         f"{label:<12} macro-F1 {macro_f1(cm):.4f}   "
         f"unseen docs rejected: {rejected}/{unseen_total}"

@@ -21,14 +21,7 @@ from .data import (
     tokenize,
 )
 from .encoder import EncoderConfig, ModelParams, ModelSpec, batched_logits, forward, init_params
-from .evaluation import (
-    ConfusionMatrix,
-    ExperimentSpec,
-    evaluate,
-    evaluate_closed,
-    macro_f1,
-    run_experiment,
-)
+from .evaluation import ExperimentSpec, confusion_matrix, evaluate, evaluate_closed, macro_f1, run_experiment
 from .head import OpenPrediction, class_probabilities, open_predictions, predict_open
 from .model_io import TrainedModel, load_model, save_model
 from .synthetic import generate_synthetic_dataset
@@ -36,7 +29,6 @@ from .tensor import Tape, Tensor, grad_check
 from .trainer import TrainConfig, TrainReport, train
 
 __all__ = [
-    "ConfusionMatrix",
     "Document",
     "EncodedDocs",
     "EncoderConfig",
@@ -55,6 +47,7 @@ __all__ = [
     "batched_logits",
     "build_vocab_from_split",
     "class_probabilities",
+    "confusion_matrix",
     "encode",
     "encode_open_split",
     "evaluate",

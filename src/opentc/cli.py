@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import DEFAULT_ALPHA, CalibrationError, check_alpha, fit_thresholds, fixed_thresholds
-from .data import check_seed, encode, encode_documents, load_jsonl, tokenize
+from .data import check_fraction, check_seed, encode, encode_documents, load_jsonl, tokenize
 from .encoder import INFERENCE_CHUNK, ModelSpec, batched_logits, init_params, load_pretrained_embeddings
 from .evaluation import ExperimentSpec, run_experiment
 from .head import class_probabilities, open_predictions
@@ -76,17 +76,23 @@ def _from_flags(cls: type, args):
     })
 
 
-def _check_output_paths(*paths) -> None:
-    """Refuse, before any training, an output path that is a directory or lies
-    in a missing one, and two output paths that name the same file."""
-    outputs = [Path(p) for p in paths if p is not None]  # None is an unset --report; "" is "."
+def _check_output_paths(outputs, inputs) -> None:
+    """Refuse, before any work, an output path that is a directory or lies in a
+    missing one, two output paths that name the same file, and an output path
+    that names an input file."""
+    outputs = [Path(p) for p in outputs if p is not None]  # None is an unset flag; "" is "."
     for path in outputs:
         if not path.parent.is_dir():
             raise FileNotFoundError(f"output directory does not exist: {path.parent}")
         if path.is_dir():
             raise IsADirectoryError(f"output path is a directory: {path}")
-    if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+    written = [os.path.realpath(path) for path in outputs]
+    if len(set(written)) < len(written):
         raise ValueError(f"output paths name the same file: {', '.join(map(str, outputs))}")
+    read = {os.path.realpath(p) for p in inputs if p is not None}
+    for path, real in zip(outputs, written):
+        if real in read:
+            raise ValueError(f"output path names an input file: {path}")
 
 
 def build_parser() -> _Parser:
@@ -128,9 +134,10 @@ def build_parser() -> _Parser:
 
 
 def cmd_train(args) -> int:
-    _check_output_paths(args.out, args.report)
+    _check_output_paths((args.out, args.report), (args.data, args.pretrained))
     spec, train_config = _from_flags(ModelSpec, args), _from_flags(TrainConfig, args)
     check_seed(args.seed)
+    check_fraction(args.seen_fraction)
     if args.calibrate:
         check_alpha(args.alpha)
     # the raw corpus is freed once prepare has encoded it
@@ -138,7 +145,7 @@ def cmd_train(args) -> int:
     initial = None
     if args.pretrained is not None:
         initial = init_params(cfg, args.seed)
-        with open(args.pretrained, "r", encoding="utf-8") as fh:
+        with open(args.pretrained, "r", encoding="utf-8", newline="\n") as fh:
             n = load_pretrained_embeddings(initial, fh, vocab)
         print(f"pretrained vectors loaded for {n} tokens", file=sys.stderr)
     params, report = train(enc_split, cfg, train_config, initial_params=initial, seed=args.seed)
@@ -212,9 +219,9 @@ def cmd_predict(args) -> int:
         sys.stdout.write(text)
         sys.stdout.flush()  # piped output streams chunk by chunk
 
-    # one strict UTF-8 reader for a file and for stdin alike
+    # one strict UTF-8 reader for a file and stdin alike; a lone CR splits no line
     source = sys.stdin.fileno() if args.input == "-" else args.input
-    with open(source, "r", encoding="utf-8", closefd=args.input != "-") as stream:
+    with open(source, "r", encoding="utf-8", newline="\n", closefd=args.input != "-") as stream:
         # Read ahead only where a read cannot block, so a pipe still streams:
         # chunk k+1 goes to the worker while this process renders chunk k.
         ahead = stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
@@ -236,7 +243,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    _check_output_paths(args.report)
+    _check_output_paths((args.report,), (args.data,))
     spec = _from_flags(ExperimentSpec, args)
     docs = load_jsonl(args.data)
     result = run_experiment(spec, docs)

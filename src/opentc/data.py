@@ -139,6 +139,12 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
+def check_fraction(fraction: float) -> None:
+    """Refuse a seen fraction outside (0, 1], NaN included, naming it."""
+    if not 0 < fraction <= 1:
+        raise ValueError(f"seen fraction must lie in (0, 1], got {fraction}")
+
+
 def make_open_split(docs: list[Document], seen_fraction: float, rep_seed) -> OpenSplit:
     """Choose seen classes and split each class 60/10/30, deterministically.
 
@@ -146,8 +152,7 @@ def make_open_split(docs: list[Document], seen_fraction: float, rep_seed) -> Ope
     split keeps the 30% test portion of every class. Rounding: floor for
     validation and test counts, remainder to train.
     """
-    if not 0 < seen_fraction <= 1:
-        raise ValueError("seen_fraction must be in (0, 1]")
+    check_fraction(seen_fraction)
     classes = sorted({d.label for d in docs})
     if len(classes) < 2:
         raise ValueError("dataset must contain at least 2 classes")
@@ -203,7 +208,7 @@ def decoded_lines(stream, error: type[ValueError]):
 def load_jsonl(path) -> list[Document]:
     """Read a dataset file: one JSON object per line with keys label and text."""
     docs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:  # a lone CR is JSON whitespace
         for lineno, line in enumerate(decoded_lines(fh, DatasetFormatError), start=1):
             line = line.strip()
             if not line:

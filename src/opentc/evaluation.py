@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import DEFAULT_ALPHA, ThresholdVector, check_alpha, check_logit_matrix, fit_thresholds, fixed_thresholds
-from .data import Document, check_seed
+from .data import Document, check_fraction, check_seed
 from .encoder import ModelSpec, batched_logits
 from .head import class_probabilities, open_predictions
 from .parallel import one_blas_thread, worker
@@ -21,23 +21,15 @@ METHOD_DOC_T05 = "doc_t0.5"
 METHOD_SOFTMAX = "softmax"
 
 
-@dataclass
-class ConfusionMatrix:
-    """(m+1) x (m+1) counts; row = gold, column = predicted, index m = reject.
-
-    All unseen gold classes collapse into the single rejection row.
-    """
-
-    counts: np.ndarray
-
-    @classmethod
-    def from_pairs(cls, gold, predicted, num_seen: int) -> "ConfusionMatrix":
-        """Tally (gold, predicted) index pairs, each index in [0, num_seen]."""
-        n = num_seen + 1
-        pairs = np.array([gold, predicted], dtype=np.int64)
-        if ((pairs < 0) | (pairs >= n)).any():
-            raise ValueError(f"class index out of range [0, {n})")
-        return cls(np.bincount(pairs[0] * n + pairs[1], minlength=n * n).reshape(n, n))
+def confusion_matrix(gold, predicted, num_seen: int) -> np.ndarray:
+    """(m+1) x (m+1) int64 counts of (gold, predicted) index pairs, each index
+    in [0, m] with m = ``num_seen``; row = gold, column = predicted, index m =
+    reject. All unseen gold classes collapse into the single rejection row."""
+    n = num_seen + 1
+    pairs = np.array([gold, predicted], dtype=np.int64)
+    if ((pairs < 0) | (pairs >= n)).any():
+        raise ValueError(f"class index out of range [0, {n})")
+    return np.bincount(pairs[0] * n + pairs[1], minlength=n * n).reshape(n, n)
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -46,14 +38,14 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
-def macro_f1(cm: ConfusionMatrix) -> float:
-    """Unweighted mean of per-class F1, rejection included as one class.
+def macro_f1(c: np.ndarray) -> float:
+    """Unweighted mean of per-class F1 of a ``confusion_matrix``, rejection
+    included as one class.
 
     0/0 is scored as 0. The rejection class is excluded from the mean only
     when it is structurally absent (never gold and never predicted), which is
     the closed-world 100%-seen setting.
     """
-    c = cm.counts
     n = c.shape[0]
     reject = n - 1
     classes = list(range(n))
@@ -75,18 +67,18 @@ def _gold(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.where(labels >= 0, labels, logits.shape[1])
 
 
-def evaluate(logits, thresholds: ThresholdVector, labels) -> ConfusionMatrix:
+def evaluate(logits, thresholds: ThresholdVector, labels) -> np.ndarray:
     """Open-world prediction for each row of an (N, m) logit matrix, tallied
-    against its label into a confusion matrix."""
+    against its label into a ``confusion_matrix``."""
     logits, labels = np.asarray(logits), np.asarray(labels)
     gold, m = _gold(logits, labels), logits.shape[1]
-    return ConfusionMatrix.from_pairs(gold, open_predictions(class_probabilities(logits), thresholds), m)
+    return confusion_matrix(gold, open_predictions(class_probabilities(logits), thresholds), m)
 
 
-def evaluate_closed(logits, labels) -> ConfusionMatrix:
+def evaluate_closed(logits, labels) -> np.ndarray:
     """Forced-accept baseline: each row's argmax class, ties to the lowest index; never rejects."""
     logits, labels = np.asarray(logits), np.asarray(labels)
-    return ConfusionMatrix.from_pairs(_gold(logits, labels), logits.argmax(axis=1), logits.shape[1])
+    return confusion_matrix(_gold(logits, labels), logits.argmax(axis=1), logits.shape[1])
 
 
 @dataclass(frozen=True)
@@ -106,8 +98,8 @@ class ExperimentSpec:
         object.__setattr__(self, "fractions", tuple(self.fractions))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if any(not 0 < f <= 1 for f in self.fractions):
-            raise ValueError("seen fractions must lie in (0, 1]")
+        for f in self.fractions:
+            check_fraction(f)
         if len(set(self.fractions)) != len(self.fractions):
             raise ValueError(f"seen fractions must be distinct, got {list(self.fractions)}")
         check_seed(self.seed)

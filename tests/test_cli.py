@@ -259,6 +259,29 @@ def test_predict_chunks_agree_with_one_document_forwards(calibrated_model, tmp_p
         np.testing.assert_allclose(got, probs, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_predict_ends_a_line_at_newline_only(calibrated_model, texts, source, tmp_path, monkeypatch, capsys):
+    def predict(raw: bytes) -> str:
+        if source == "file":
+            inp = tmp_path / "docs.txt"
+            inp.write_bytes(raw)
+            assert main(["predict", "--model", calibrated_model, "--input", str(inp)]) == 0
+        else:
+            r, w = os.pipe()
+            os.write(w, raw)  # well under a pipe's buffer
+            os.close(w)
+            with os.fdopen(r, "rb") as pipe:
+                monkeypatch.setattr(sys, "stdin", pipe)
+                assert main(["predict", "--model", calibrated_model]) == 0
+        return capsys.readouterr().out
+
+    lone_cr = predict(b"cls0kw00\rcls0kw01\nunrelated words\n")
+    assert len(lone_cr.splitlines()) == 2  # a lone CR separates two words of one document
+    assert lone_cr == predict(b"cls0kw00 cls0kw01\nunrelated words\n")
+    lf = "".join(text + "\n" for text in texts[:20]).encode()
+    assert predict(lf.replace(b"\n", b"\r\n")) == predict(lf)
+
+
 def test_predict_empty_input_prints_nothing(calibrated_model, tmp_path, capsys):
     inp = tmp_path / "empty.txt"
     inp.write_text("")
@@ -708,8 +731,13 @@ def test_train_seed_reaches_the_seed_argument(dataset, tmp_path, monkeypatch):
         (["experiment", "--vocab-size", "2"], "vocab_size must be >= 3 (PAD, UNK and one token), got 2"),
         (["train", "--out", "{tmp}/m.docm", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["experiment", "--seed=-1"], "seed must be >= 0, got -1"),
+        (["train", "--out", "{tmp}/m.docm", "--seen-fraction", "0"], "seen fraction must lie in (0, 1], got 0.0"),
+        (["experiment", "--fractions", "0.5,1.5"], "seen fraction must lie in (0, 1], got 1.5"),
     ],
-    ids=["train", "experiment", "train-vocab-size-1", "experiment-vocab-size-2", "train-seed", "experiment-seed"],
+    ids=[
+        "train", "experiment", "train-vocab-size-1", "experiment-vocab-size-2", "train-seed", "experiment-seed",
+        "train-seen-fraction", "experiment-fractions",
+    ],
 )
 def test_shape_error_comes_before_the_data_file(argv, error, tmp_path, capsys):
     command, *flags = argv
@@ -724,6 +752,38 @@ def test_train_refuses_one_path_for_model_and_report(report, dataset, tmp_path, 
     assert main([*argv, *FAST_FLAGS]) == 2
     assert "output paths name the same file" in capsys.readouterr().err
     assert not (tmp_path / "m.docm").exists()
+
+
+@pytest.mark.parametrize(
+    "command, read, written",
+    [
+        ("train", "--data", "--out"),
+        ("train", "--data", "--report"),
+        ("train", "--pretrained", "--out"),
+        ("train", "--pretrained", "--report"),
+        ("experiment", "--data", "--report"),
+    ],
+    ids=["train-data-out", "train-data-report", "train-pretrained-out", "train-pretrained-report", "experiment-data-report"],
+)
+def test_an_output_that_names_an_input_is_refused_before_any_work(
+    command, read, written, dataset, tmp_path, monkeypatch, capsys, no_training
+):
+    def not_read(path):
+        raise AssertionError("dataset read")
+
+    monkeypatch.setattr(cli, "load_jsonl", not_read)
+    (tmp_path / "sub").mkdir()
+    data, vectors = tmp_path / "c.jsonl", tmp_path / "v.txt"
+    data.write_bytes(Path(dataset).read_bytes())
+    vectors.write_text("cls0kw00 " + " ".join(["0.1"] * 8) + "\n")
+    paths = {"--data": data, "--pretrained": vectors, "--out": tmp_path / "m.docm", "--report": tmp_path / "r.json"}
+    paths[written] = tmp_path / "sub" / ".." / paths[read].name  # the input's file under another name
+    flags = {"train": ["--data", "--out", "--report", "--pretrained"], "experiment": ["--data", "--report"]}[command]
+    before = {path: path.read_bytes() for path in (data, vectors)}
+    assert main([command, *FAST_FLAGS, *[arg for flag in flags for arg in (flag, str(paths[flag]))]]) == 2
+    assert capsys.readouterr().err == f"error: output path names an input file: {paths[written]}\n"
+    assert {path: path.read_bytes() for path in (data, vectors)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "sub", "v.txt"]
 
 
 @pytest.mark.parametrize("target", ["model", "train-report", "experiment-report"])

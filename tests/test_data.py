@@ -215,6 +215,8 @@ def test_split_rejects_bad_inputs():
         make_open_split(docs, 0.0, 0)
     with pytest.raises(ValueError):
         make_open_split(docs, 1.5, 0)
+    with pytest.raises(ValueError, match=r"seen fraction must lie in \(0, 1\], got nan"):
+        make_open_split(docs, float("nan"), 0)
     with pytest.raises(ValueError):
         make_open_split([Document("only", "one class")], 1.0, 0)
 
@@ -271,6 +273,18 @@ def test_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"label": "a", "text": "x"}\n\n{"label": "b", "text": "y"}\n')
     assert len(load_jsonl(path)) == 2
+
+
+def test_jsonl_ends_a_line_at_newline_only(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b'{"label": "a",\r "text": "b c"}\n{"label": "b", "text": "d"}\n')  # a lone CR is JSON whitespace
+    assert load_jsonl(path) == [Document("a", "b c"), Document("b", "d")]
+    lf = b'{"label": "a", "text": "x"}\n\n{"label": "b", "text": "y z"}\n'
+    path.write_bytes(lf.replace(b"\n", b"\r\n"))
+    assert load_jsonl(path) == [Document("a", "x"), Document("b", "y z")]
+    path.write_bytes((lf + b"not json\n").replace(b"\n", b"\r\n"))
+    with pytest.raises(DatasetFormatError, match="line 4: invalid JSON"):
+        load_jsonl(path)
 
 
 @pytest.mark.parametrize(

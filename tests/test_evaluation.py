@@ -9,7 +9,7 @@ from opentc.calibration import CalibrationError, fixed_thresholds
 from opentc.data import EncodedDocs, build_vocab_from_split, make_open_split
 from opentc.encoder import EncoderConfig, ModelSpec, batched_logits, init_params
 from opentc.evaluation import (
-    ConfusionMatrix,
+    confusion_matrix,
     ExperimentResult,
     ExperimentSpec,
     _derive_seed,
@@ -45,7 +45,7 @@ def test_macro_f1_matches_pairwise_oracle():
         pred = rng.integers(0, m + 1, size=n).tolist()
         if not any(g == m for g in gold) and not any(p == m for p in pred):
             gold[0] = m  # keep the reject class active in this fuzz case
-        got = macro_f1(ConfusionMatrix.from_pairs(gold, pred, m))
+        got = macro_f1(confusion_matrix(gold, pred, m))
         want = oracle_macro_f1(gold, pred, list(range(m + 1)))
         assert abs(got - want) < 1e-12
 
@@ -57,7 +57,7 @@ def test_macro_f1_hand_worked_example():
     # class 0: tp=2 fp=1 fn=1 -> F1 2/3; class 1: tp=2 fp=1 fn=0 -> 0.8
     # reject: tp=4 fp=0 fn=1 -> 8/9; mean = (2/3 + 4/5 + 8/9)/3
     want = (2 / 3 + 4 / 5 + 8 / 9) / 3
-    got = macro_f1(ConfusionMatrix.from_pairs(gold, pred, 2))
+    got = macro_f1(confusion_matrix(gold, pred, 2))
     assert abs(got - want) < 1e-12
 
 
@@ -66,7 +66,7 @@ def test_macro_f1_simple_expected_value():
     pred = [0, 0, 1, 2, 2, 2]
     # class0 F1=1; class1: tp=1 fp=0 fn=1 -> 2/3; reject: tp=2 fp=1 fn=0 -> 0.8
     want = (1.0 + 2 / 3 + 0.8) / 3
-    assert abs(macro_f1(ConfusionMatrix.from_pairs(gold, pred, 2)) - want) < 1e-12
+    assert abs(macro_f1(confusion_matrix(gold, pred, 2)) - want) < 1e-12
     assert abs(want - 0.822222222222222) < 1e-12
 
 
@@ -74,7 +74,7 @@ def test_macro_f1_zero_over_zero_class_scores_zero():
     # class 1 never gold and never predicted -> F1 0, still averaged in
     gold = [0, 0, 2]
     pred = [0, 0, 2]
-    got = macro_f1(ConfusionMatrix.from_pairs(gold, pred, 2))
+    got = macro_f1(confusion_matrix(gold, pred, 2))
     assert abs(got - (1.0 + 0.0 + 1.0) / 3) < 1e-12
 
 
@@ -82,30 +82,30 @@ def test_macro_f1_excludes_reject_only_in_closed_world():
     # no gold rejects and no predicted rejects -> averaged over m classes only
     gold = [0, 1, 0, 1]
     pred = [0, 1, 1, 1]
-    got = macro_f1(ConfusionMatrix.from_pairs(gold, pred, 2))
+    got = macro_f1(confusion_matrix(gold, pred, 2))
     want = oracle_macro_f1(gold, pred, [0, 1])
     assert abs(got - want) < 1e-12
     # one predicted reject reactivates the class even without gold rejects
     gold = [0, 1, 0, 1]
     pred = [0, 1, 2, 1]
-    got = macro_f1(ConfusionMatrix.from_pairs(gold, pred, 2))
+    got = macro_f1(confusion_matrix(gold, pred, 2))
     want = oracle_macro_f1(gold, pred, [0, 1, 2])
     assert abs(got - want) < 1e-12
 
 
 def test_confusion_matrix_from_pairs_counts_each_pair():
-    cm = ConfusionMatrix.from_pairs([0, 0, 2, 1, 2], [0, 2, 2, 1, 2], 2)
-    np.testing.assert_array_equal(cm.counts, [[1, 0, 1], [0, 1, 0], [0, 0, 2]])
-    assert ConfusionMatrix.from_pairs([], [], 2).counts.sum() == 0
+    cm = confusion_matrix([0, 0, 2, 1, 2], [0, 2, 2, 1, 2], 2)
+    np.testing.assert_array_equal(cm, [[1, 0, 1], [0, 1, 0], [0, 0, 2]])
+    assert confusion_matrix([], [], 2).sum() == 0
     with pytest.raises(ValueError):
-        ConfusionMatrix.from_pairs([0, 3], [0, 0], 2)
+        confusion_matrix([0, 3], [0, 0], 2)
 
 
 def test_perfect_and_worst_scores():
     gold = [0, 1, 2, 2]
-    assert macro_f1(ConfusionMatrix.from_pairs(gold, gold, 2)) == 1.0
+    assert macro_f1(confusion_matrix(gold, gold, 2)) == 1.0
     pred = [1, 0, 0, 1]
-    assert macro_f1(ConfusionMatrix.from_pairs(gold, pred, 2)) == 0.0
+    assert macro_f1(confusion_matrix(gold, pred, 2)) == 0.0
 
 
 CFG = EncoderConfig(
@@ -123,9 +123,9 @@ def test_evaluate_tallies_every_document():
     params = init_params(CFG, rng)
     docs = _docs(rng, [0, 1, -1, 0, -1])
     cm = evaluate(batched_logits(params, docs.ids), fixed_thresholds(2), docs.labels)
-    assert cm.counts.sum() == 5
-    assert cm.counts[2, :].sum() == 2  # both unseen docs land in the reject row
-    assert cm.counts.shape == (3, 3)
+    assert cm.sum() == 5
+    assert cm[2, :].sum() == 2  # both unseen docs land in the reject row
+    assert cm.shape == (3, 3) and cm.dtype == np.int64
 
 
 def test_evaluate_closed_never_rejects():
@@ -133,15 +133,15 @@ def test_evaluate_closed_never_rejects():
     params = init_params(CFG, rng)
     docs = _docs(rng, [0, 1, -1, -1])
     cm = evaluate_closed(batched_logits(params, docs.ids), docs.labels)
-    assert cm.counts[:, 2].sum() == 0
-    assert cm.counts.sum() == 4
+    assert cm[:, 2].sum() == 0
+    assert cm.sum() == 4
 
 
 def test_evaluate_closed_ties_go_to_the_lowest_index():
     logits = np.array([[0.1, 0.9, 0.3], [2.0, 2.0, 1.0], [0.0, 5.0, 5.0], [-1.0, -1.0, -1.0]])
     cm = evaluate_closed(logits, [1, 0, 1, -1])
     # predictions 1, 0, 1, 0; the unseen gold label lands in the reject row
-    assert np.array_equal(cm.counts, ConfusionMatrix.from_pairs([1, 0, 1, 3], [1, 0, 1, 0], 3).counts)
+    assert np.array_equal(cm, confusion_matrix([1, 0, 1, 3], [1, 0, 1, 0], 3))
     with pytest.raises(ValueError):
         evaluate_closed(np.empty((1, 0)), [0])
 
@@ -166,7 +166,7 @@ def test_evaluate_batch_size_invariant(monkeypatch):
     a = evaluate(batched_logits(params, docs.ids), fixed_thresholds(2), docs.labels)
     monkeypatch.setattr(encoder, "INFERENCE_CHUNK", 256)
     b = evaluate(batched_logits(params, docs.ids), fixed_thresholds(2), docs.labels)
-    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a, b)
 
 
 def test_experiment_spec_validation():
@@ -247,6 +247,22 @@ def test_run_experiment_gives_the_same_result_forked_and_serial(forks, monkeypat
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert run_experiment(spec, docs).to_json() == forked
     assert len(forks) == 4
+
+
+def test_run_experiment_runs_at_one_blas_thread_and_gives_the_count_back(two_blas_threads, monkeypatch):
+    docs = generate_synthetic_dataset(num_classes=4, docs_per_class=20, seed=3)
+    spec = ExperimentSpec(fractions=(0.5,), reps=1, model=TOY_MODEL, train_config=TrainConfig(epochs=1))
+    inside = []  # the counts at each training in this process; a forked child's stay in the child
+
+    def recording_train(*args, **kwargs):
+        inside.append(two_blas_threads())
+        return real_train(*args, **kwargs)
+
+    real_train = evaluation.train
+    monkeypatch.setattr(evaluation, "train", recording_train)
+    run_experiment(spec, docs)
+    counts = two_blas_threads()
+    assert inside and all(seen == [1] * len(counts) for seen in inside) and counts == [2] * len(counts)
 
 
 def test_no_child_outlives_a_run_whose_parent_head_raises(forks, monkeypatch):
