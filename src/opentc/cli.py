@@ -225,20 +225,15 @@ def cmd_predict(args) -> int:
         # Read ahead only where a read cannot block, so a pipe still streams:
         # chunk k+1 goes to the worker while this process renders chunk k.
         ahead = stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
-        try:
-            with worker(render) as alongside:
-                while chunk := list(islice(stream, INFERENCE_CHUNK)):
-                    try:
-                        after = list(islice(stream, INFERENCE_CHUNK)) if ahead else []
-                    except (ValueError, OSError):  # a decode or read error: print what came before it
-                        write(render(chunk))
-                        raise
-                    # chunk k prints inside the call, so it is out before any error of the worker's
-                    write(alongside(after, lambda: write(render(chunk)))[1] if after else render(chunk))
-        except BrokenPipeError:  # the reader is gone, as under `| head`: not an error
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())  # so the exit's last flush stays silent
-            os.close(devnull)
+        with worker(render) as alongside:
+            while chunk := list(islice(stream, INFERENCE_CHUNK)):
+                try:
+                    after = list(islice(stream, INFERENCE_CHUNK)) if ahead else []
+                except (ValueError, OSError):  # a decode or read error: print what came before it
+                    write(render(chunk))
+                    raise
+                # chunk k prints inside the call, so it is out before any error of the worker's
+                write(alongside(after, lambda: write(render(chunk)))[1] if after else render(chunk))
     return EXIT_OK
 
 
@@ -247,10 +242,10 @@ def cmd_experiment(args) -> int:
     spec = _from_flags(ExperimentSpec, args)
     docs = load_jsonl(args.data)
     result = run_experiment(spec, docs)
-    print(result.to_text())
-    if args.report:
+    if args.report:  # before the table, which a reader that has gone may refuse
         with atomic_write(args.report, "w", encoding="utf-8") as fh:
             fh.write(result.to_json() + "\n")
+    print(result.to_text())
     return EXIT_OK
 
 
@@ -290,7 +285,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with one_blas_thread():
-            return _COMMANDS[args.command](args)
+            code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that has gone shows here, not in the exit's last flush
+        return code
+    except BrokenPipeError:  # the reader is gone, as under `| head -1`: not an error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the exit's last flush stays silent
+        os.close(devnull)
+        return EXIT_OK
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -13,7 +13,7 @@ from .calibration import DEFAULT_ALPHA, ThresholdVector, check_alpha, check_logi
 from .data import Document, check_fraction, check_seed
 from .encoder import ModelSpec, batched_logits
 from .head import class_probabilities, open_predictions
-from .parallel import one_blas_thread, worker
+from .parallel import worker
 from .trainer import HEAD_SOFTMAX, TrainConfig, train
 
 METHOD_DOC = "doc"
@@ -157,9 +157,9 @@ def run_single(spec: ExperimentSpec, docs: list[Document], fraction_index: int, 
     heads, calibrate, score all methods.
 
     Every method within a repetition shares the same class subset and data
-    split, so the comparison is paired. It runs at one BLAS thread, so its
-    scores are the same at any caller's thread count. The softmax head trains
-    beside the DOC head, in a child process where ``worker`` can fork one.
+    split, so the comparison is paired. Both heads train inside ``worker``, at
+    one BLAS thread, so the scores are the same at any caller's thread count;
+    the softmax head trains beside the DOC head, in a child where one forks.
     """
     split_seed = _derive_seed(spec.seed, fraction_index, rep, 0)
     train_seed = _derive_seed(spec.seed, fraction_index, rep, 1)
@@ -177,8 +177,7 @@ def run_single(spec: ExperimentSpec, docs: list[Document], fraction_index: int, 
         thresholds = fit_thresholds(batched_logits(doc_params, train_docs.ids), train_docs.labels, spec.alpha)
         return thresholds, batched_logits(doc_params, test_docs.ids)
 
-    # the softmax head trains in a forked child while this process trains the DOC head
-    with one_blas_thread(), worker(test_logits) as alongside:
+    with worker(test_logits) as alongside:
         (thresholds, doc_test), sm_test = alongside(HEAD_SOFTMAX, doc_head)
     return {
         METHOD_DOC: macro_f1(evaluate(doc_test, thresholds, test_docs.labels)),

@@ -70,15 +70,12 @@ def one_blas_thread() -> Iterator[None]:
 
 
 def _can_fork() -> bool:
-    """Whether a forked child pays: ``os.fork`` exists, every loaded OpenBLAS
-    runs at one thread (``one_blas_thread``) and this process may use more
-    than one CPU."""
+    """Whether a forked child pays: ``os.fork`` exists, ``one_blas_thread``
+    has an OpenBLAS to pin and this process may use more than one CPU."""
     # A child pays off only as a whole process on a CPU of its own: two
     # processes that each add a spinning BLAS thread ran several times slower
     # than one process alone.
-    libs = _openblas()
-    pinned = bool(libs) and all(get() == 1 for get, _ in libs)
-    return hasattr(os, "fork") and pinned and len(os.sched_getaffinity(0)) > 1
+    return hasattr(os, "fork") and bool(_openblas()) and len(os.sched_getaffinity(0)) > 1
 
 
 @contextmanager
@@ -89,20 +86,22 @@ def worker(fn: Callable[[A], T]) -> Iterator[Callable[[A, Callable[[], R]], tupl
     fn(arg))``, raising ``own``'s exception first. So one call is in flight at
     a time, and neither process can block on a full pipe while the other does.
 
-    The child forks at the first call where ``_can_fork()`` holds; otherwise
-    ``own`` and then ``fn`` run here. It may use every CPU of this process but
-    the one this process runs on at the fork, and writes nothing but replies.
-    It is killed and reaped when the block ends or ``own`` raises, and one
-    that ends without a whole reply raises ``ChildProcessError``.
+    The block and the child run at one BLAS thread. The child forks at the
+    first call where ``_can_fork()`` holds; otherwise ``own`` and then ``fn``
+    run here. It may use every CPU of this process but the one this process
+    runs on at the fork, and writes nothing but replies. It is killed and
+    waited for when the block ends or ``own`` raises, and one that ends without a
+    whole reply raises ``ChildProcessError``.
     """
-    if not _can_fork():
-        yield lambda arg, own: (own(), fn(arg))
-        return
-    child = _Child(fn)
-    try:
-        yield child.alongside
-    finally:
-        child.close()
+    with one_blas_thread():
+        if not _can_fork():
+            yield lambda arg, own: (own(), fn(arg))
+            return
+        child = _Child(fn)
+        try:
+            yield child.alongside
+        finally:
+            child.close()
 
 
 class _Child:
@@ -111,7 +110,6 @@ class _Child:
     def __init__(self, fn: Callable) -> None:
         self.fn = fn
         self.pid = 0  # forked at the first call
-        self.reaped = False
 
     def alongside(self, arg: object, own: Callable[[], R]) -> tuple[R, object]:
         if not self.pid:
@@ -150,20 +148,21 @@ class _Child:
             os.sched_setaffinity(self.pid, os.sched_getaffinity(0) - {_this_cpu()})
 
     def _ended(self) -> ChildProcessError:
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.reaped = True
+        code = os.waitstatus_to_exitcode(self.close())
         how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
         return ChildProcessError(f"forked child ended without a result ({how})")
 
-    def close(self) -> None:
+    def close(self) -> int:
+        """Kill and reap the child; its wait status, or 0 where none runs."""
         if not self.pid:
-            return
-        os.close(self.requests)  # an idle child reads the end of its requests and exits
+            return 0
+        os.close(self.requests)
         self.replies.close()
-        if not self.reaped:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        self.pid, self.reaped = 0, False
+        # a child whose pipe ends have closed is already exiting: Linux drops this kill
+        os.kill(self.pid, signal.SIGKILL)
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = 0
+        return status
 
 
 def _this_cpu() -> int:

@@ -29,8 +29,9 @@ ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, epoch: int, batch: int) -> None:
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+    def __init__(self, epoch: int, batch: int | None = None) -> None:  # None: the validation pass
+        at = f"loss at epoch {epoch}, batch {batch}" if batch is not None else f"validation loss at epoch {epoch}"
+        super().__init__(f"non-finite {at}")
         self.epoch = epoch
         self.batch = batch
 
@@ -81,8 +82,6 @@ class AdamState:
         bias2 = 1.0 - ADAM_BETA2**t
         for tensor, m, v in zip(self.tensors, self.m, self.v):
             g = tensor.grad
-            if g is None:
-                continue
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
@@ -163,7 +162,7 @@ def train(
         else:
             val = report.train_losses[-1]
         if not np.isfinite(val):
-            raise TrainingDivergedError(epoch, -1)
+            raise TrainingDivergedError(epoch)
         report.val_losses.append(val)
 
         report.best_epoch = int(np.argmin(report.val_losses))  # the first of equal minima

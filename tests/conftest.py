@@ -50,9 +50,8 @@ def no_child_left() -> bool:
 
 @pytest.fixture
 def forks(monkeypatch):
-    """One BLAS thread and two CPUs in view, so a ``worker`` forks on any
-    host with OpenBLAS. Yields the pids it forked and checks that none
-    outlives the test."""
+    """Two CPUs in view, so a ``worker`` forks on any host with OpenBLAS.
+    Yields the pids it forked and checks that none outlives the test."""
     if not parallel._openblas():
         pytest.skip("no OpenBLAS is loaded, so a worker never forks")
     pids = []
@@ -66,6 +65,5 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with parallel.one_blas_thread():
-        yield pids
+    yield pids
     assert no_child_left()

@@ -111,6 +111,24 @@ def test_calibrate_command_updates_model(dataset, tmp_path, capsys):
     assert (loaded.thresholds.t >= 0.5).all()
 
 
+def test_calibrate_refuses_classes_the_model_does_not_know(calibrated_model, tmp_path, capsys):
+    data, model = tmp_path / "four.jsonl", tmp_path / "m.docm"
+    save_jsonl(data, generate_synthetic_dataset(num_classes=5, docs_per_class=2, seed=0))
+    model.write_bytes(Path(calibrated_model).read_bytes())
+    assert main(["calibrate", "--model", str(model), "--data", str(data)]) == 2
+    assert capsys.readouterr().err == "error: data contains classes unknown to the model: ['class3', 'class4']\n"
+    assert model.read_bytes() == Path(calibrated_model).read_bytes()
+
+
+def test_a_validation_divergence_exits_3_and_names_the_pass(dataset, tmp_path, capsys):
+    # one batch per epoch: the step that diverges is the validation pass after it
+    argv = ["train", "--data", dataset, "--out", str(tmp_path / "m.docm"), *FAST_FLAGS, "--batch-size", "1000"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([*argv, "--lr", "1e308"]) == 3
+    assert capsys.readouterr().err == "error: non-finite validation loss at epoch 0\n"
+    assert not (tmp_path / "m.docm").exists()
+
+
 def test_inspect_command(dataset, tmp_path, capsys):
     model = _train(dataset, tmp_path / "m.docm", "--calibrate")
     capsys.readouterr()
@@ -498,6 +516,41 @@ def test_predict_exits_0_when_its_reader_closes(calibrated_model, texts, tmp_pat
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+READER_GONE_ARGV = {
+    "train": ["--data", "{data}", "--out", "{tmp}/out.docm", *FAST_FLAGS, "--epochs", "1"],
+    "calibrate": ["--model", "{tmp}/m.docm", "--data", "{data}"],
+    "predict": ["--model", "{tmp}/m.docm", "--input", "{tmp}/docs.txt"],
+    "experiment": ["--data", "{data}", "--fractions", "1.0", "--reps", "1", *FAST_FLAGS, "--epochs", "1"],
+    "inspect": ["--model", "{tmp}/m.docm"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", READER_GONE_ARGV)
+def test_every_command_exits_0_when_its_reader_is_gone(command, unbuffered, dataset, calibrated_model, tmp_path, capsys):
+    Path(tmp_path, "m.docm").write_bytes(Path(calibrated_model).read_bytes())
+    Path(tmp_path, "docs.txt").write_text("cls0kw00 cls0kw01\nunrelated words\n", encoding="utf-8")
+    argv = [command, *(arg.format(data=dataset, tmp=tmp_path) for arg in READER_GONE_ARGV[command])]
+    if command == "experiment":  # the report of a run whose output is read, to compare against
+        assert main([*argv, "--report", str(tmp_path / "read.json")]) == 0
+        capsys.readouterr()
+        argv += ["--report", str(tmp_path / "gone.json")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"  # each print writes at once, inside the command
+    reader, writer = os.pipe()
+    os.close(reader)  # gone before the command writes, as `| true` is
+    try:
+        process = [sys.executable, "-m", "opentc.cli", *argv]
+        done = subprocess.run(process, env=env, stdout=writer, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(writer)
+    assert (done.returncode, done.stderr) == (0, b"")
+    if command == "experiment":
+        assert Path(tmp_path, "gone.json").read_bytes() == Path(tmp_path, "read.json").read_bytes()
 
 
 def _with_section(raw: bytes, index: int, payload: bytes) -> bytes:

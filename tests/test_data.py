@@ -110,6 +110,11 @@ def test_vocab_max_size_too_small():
         Vocabulary.build([["a"]], max_size=2)
 
 
+def test_encode_refuses_a_doc_len_below_1():
+    with pytest.raises(ValueError, match="^doc_len must be >= 1$"):
+        encode(["cat"], Vocabulary(["cat"]), doc_len=0)
+
+
 def test_encode_unk_truncate_pad():
     v = Vocabulary(["cat", "dog"])
     ids = encode(["cat", "mouse", "dog"], v, doc_len=5)

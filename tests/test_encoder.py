@@ -198,6 +198,11 @@ def test_forward_with_tape_is_differentiable():
     np.testing.assert_array_equal(params.embedding.grad[0], np.zeros(CFG.embed_dim))
 
 
+def test_forward_refuses_a_document_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^document length 11 != configured 12$"):
+        forward(init_params(CFG, 0), np.ones((2, 11), dtype=np.int64))
+
+
 def test_doc_shorter_than_widest_filter_rejected_at_config_time():
     with pytest.raises(ValueError):
         EncoderConfig(

@@ -93,6 +93,28 @@ def test_a_workers_child_runs_at_one_blas_thread(forks):
     assert len(forks) == 1 and counts == [1] * len(parallel._openblas())
 
 
+def test_worker_pins_its_block_and_its_child_without_a_caller_pin(two_blas_threads, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two CPUs in view, so it forks
+    one = [1] * len(two_blas_threads())
+    with worker(lambda _: (os.getpid(), two_blas_threads())) as alongside:
+        mine, (pid, child_counts) = alongside(None, two_blas_threads)
+    assert pid != os.getpid() and mine == child_counts == one and two_blas_threads() == [2] * len(one)
+    assert no_child_left()
+
+
+def test_a_child_killed_between_two_calls_raises_child_process_error(forks):
+    ran = []
+    with worker(lambda _: os.getpid()) as alongside:
+        _, pid = alongside(None, lambda: None)
+        assert forks == [pid]  # so the kill below cannot reach this process
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, with its end of the requests closed, not reaped
+        with pytest.raises(ChildProcessError, match="without a result \\(killed by signal 9\\)$"):
+            alongside(None, lambda: ran.append("own"))
+        assert ran == [] and no_child_left()  # the request found no reader, so ``own`` never ran
+    assert len(forks) == 1
+
+
 def test_worker_kills_the_child_when_the_block_raises(forks):
     def own():
         raise MemoryError

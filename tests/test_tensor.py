@@ -91,6 +91,31 @@ def test_conv_too_short_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Tape().backward(Tensor(np.zeros(2))), "backward requires a scalar loss"),
+        (
+            lambda: conv1d_valid(Tape(), Tensor(np.zeros((5, 3))), Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros(1))),
+            "filter dim 4 != input dim 3",
+        ),
+        (
+            lambda: conv1d_valid(Tape(), Tensor(np.zeros((5, 3))), Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros(1))),
+            "bias shape must be \\(num_filters,\\)",
+        ),
+        (
+            lambda: dense(Tape(), Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))),
+            "bias shape must match weight rows",
+        ),
+        (lambda: concat(Tape(), []), "concat of no tensors"),
+    ],
+    ids=["backward-non-scalar", "conv-filter-dim", "conv-bias-shape", "dense-bias-shape", "concat-empty"],
+)
+def test_a_shape_error_names_its_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_conv_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(6, 4)))

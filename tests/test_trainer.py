@@ -138,6 +138,31 @@ def test_unseen_label_in_training_batch_rejected():
         training_step(params, bad, cfg, opt, HEAD_ONE_VS_REST)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: training_step(
+                init_params(CFG, 0),
+                EncodedDocs(ids=np.zeros((0, CFG.doc_len), dtype=np.int64), labels=np.zeros(0, dtype=np.int64)),
+                TrainConfig(),
+                None,
+                HEAD_ONE_VS_REST,
+            ),
+            "empty batch",
+        ),
+        (
+            lambda: train(OpenSplit(train=[], validation=[], test=[], seen_classes=[], unseen_classes=[]), CFG, TrainConfig()),
+            "empty training split",
+        ),
+    ],
+    ids=["empty-batch", "empty-training-split"],
+)
+def test_empty_training_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_missing_class_in_train_split_rejected():
     rng = np.random.default_rng(9)
     split = _split(rng)
@@ -161,6 +186,8 @@ def test_divergence_raises():
 def test_divergence_error_survives_pickling():
     error = pickle.loads(pickle.dumps(TrainingDivergedError(1, 2)))  # a forked child sends it this way
     assert (error.epoch, error.batch, str(error)) == (1, 2, "non-finite loss at epoch 1, batch 2")
+    error = pickle.loads(pickle.dumps(TrainingDivergedError(1)))
+    assert (error.epoch, error.batch, str(error)) == (1, None, "non-finite validation loss at epoch 1")
 
 
 def test_initial_params_used_and_not_mutated():
